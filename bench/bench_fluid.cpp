@@ -7,7 +7,7 @@
 // chain would be unbuildable long before 10^6.
 //
 // Report, part 2 (fluid_vs_exact): at N where the exact population
-// (count-vector) chain is still solvable, the fluid throughput converges
+// (count-vector) chain — StateSpace::derive's quotient — is still solvable, the fluid throughput converges
 // to the exact one (the documented tolerance ladder of
 // docs/architecture.md) while the exact solve cost grows with N.
 #include "bench_common.hpp"
@@ -17,10 +17,10 @@
 
 #include "ctmc/steady_state.hpp"
 #include "fluid/analysis.hpp"
-#include "fluid/population.hpp"
 #include "pepa/families.hpp"
 #include "pepa/measures.hpp"
 #include "pepa/semantics.hpp"
+#include "pepa/statespace.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -93,11 +93,13 @@ void report() {
     const auto request = *model.arena().find_action("request");
 
     util::Stopwatch timer;
-    const auto form = fluid::VectorForm::build(semantics, model.system());
-    const auto population = fluid::derive_population(form);
+    pepa::DeriveOptions options;
+    options.aggregate = true;
+    const auto population =
+        pepa::StateSpace::derive(semantics, model.system(), options);
     const auto exact = ctmc::steady_state(population.generator());
     const double exact_throughput =
-        population.action_throughput(exact.distribution, request);
+        pepa::action_throughput(population, exact.distribution, request);
     const double exact_seconds = timer.seconds();
 
     const FluidRun run = solve_fluid(clients);

@@ -11,6 +11,11 @@
 // Benchmarks: marking-graph derivation throughput.
 #include "bench_common.hpp"
 
+#include <functional>
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "choreographer/extract_activity.hpp"
 #include "choreographer/extract_statechart.hpp"
 #include "choreographer/paper_models.hpp"
@@ -266,58 +271,104 @@ void report() {
   // closed forms — the whole point is that the full chains need never be
   // derived (client_server[1000cl,4sv]'s 4.2e10 states could not be) —
   // and each quotient count is checked against its closed form.  The
-  // "reduction" column is states-of-full / states-of-quotient, which is
-  // also the peak-memory ratio: the engine's budget accounting charges
-  // only interned (canonical) states.
-  struct QuotientPoint {
+  // "reduction" column is states-of-full / states-of-quotient, the ratio
+  // of interned states; the transition columns show whether the stored
+  // transitions shrink with the states (count vectors merge the replicas'
+  // parallel moves) or stay one per replica move.  The last row is a
+  // PEPA-net quotient (cell permutations collapsed by the marking
+  // canonicalizer) whose full marking graph is small enough to derive.
+  struct QuotientRow {
     std::string label;
     std::size_t full_states;
-    std::size_t quotient_states;
-    std::function<pepa::Model()> build;
+    std::size_t states;
+    std::size_t transitions;
+    std::size_t transition_bytes;
+    double seconds;
   };
-  const QuotientPoint quotient_points[] = {
-      {"client_server[1500cl,2sv]", pepa::client_server_states(1500, 2),
-       pepa::client_server_quotient_states(1500, 2),
+  std::vector<QuotientRow> quotient_rows;
+  const std::pair<std::string, std::function<pepa::Model()>> pepa_points[] = {
+      {"client_server[1500cl,2sv]",
        [] { return pepa::client_server(1500, {.servers = 2}); }},
-      {"client_server[1000cl,4sv]", pepa::client_server_states(1000, 4),
-       pepa::client_server_quotient_states(1000, 4),
+      {"client_server[1000cl,4sv]",
        [] { return pepa::client_server(1000, {.servers = 4}); }},
-      {"pda_handover[18pda,2tx]", pepa::pda_handover_states(18, 2),
-       pepa::pda_handover_quotient_states(18, 2),
+      {"pda_handover[18pda,2tx]",
        [] { return pepa::pda_handover(18, {.transmitters = 2}); }},
+      {"pda_handover[100pda,20tx]",
+       [] { return pepa::pda_handover(100, {.transmitters = 20}); }},
   };
-  util::TextTable quotient_table({"model", "full states", "quotient",
-                                  "reduction", "derive ms"});
-  for (const QuotientPoint& point : quotient_points) {
-    pepa::Model model = point.build();
+  const std::size_t pepa_full[] = {
+      pepa::client_server_states(1500, 2), pepa::client_server_states(1000, 4),
+      pepa::pda_handover_states(18, 2), pepa::pda_handover_states(100, 20)};
+  const std::size_t pepa_quotient[] = {
+      pepa::client_server_quotient_states(1500, 2),
+      pepa::client_server_quotient_states(1000, 4),
+      pepa::pda_handover_quotient_states(18, 2),
+      pepa::pda_handover_quotient_states(100, 20)};
+  for (std::size_t i = 0; i < std::size(pepa_points); ++i) {
+    pepa::Model model = pepa_points[i].second();
     pepa::Semantics semantics(model.arena());
     pepa::DeriveOptions options;
     options.aggregate = true;
+    options.threads = 1;
     util::Stopwatch timer;
     const auto space =
         pepa::StateSpace::derive(semantics, model.system(), options);
     const double seconds = timer.seconds();
-    CHOREO_ASSERT(space.state_count() == point.quotient_states);
-    const double reduction = static_cast<double>(point.full_states) /
-                             static_cast<double>(point.quotient_states);
+    CHOREO_ASSERT(space.state_count() == pepa_quotient[i]);
+    quotient_rows.push_back(
+        {pepa_points[i].first, pepa_full[i], space.state_count(),
+         space.transitions().size(),
+         space.transitions().size() * sizeof(pepa::StateTransition), seconds});
+  }
+  {
+    const std::string source = ring_net(3, 6);
+    auto full_parsed = pepanet::parse_net(source);
+    pepanet::NetSemantics full_semantics(full_parsed.net);
+    const auto full = pepanet::NetStateSpace::derive(full_semantics);
+    auto parsed = pepanet::parse_net(source);
+    pepanet::NetSemantics semantics(parsed.net);
+    pepanet::NetDeriveOptions options;
+    options.aggregate = true;
+    options.threads = 1;
+    util::Stopwatch timer;
+    const auto space = pepanet::NetStateSpace::derive(semantics, options);
+    const double seconds = timer.seconds();
+    quotient_rows.push_back(
+        {"ring_net[3pl,6tok]", full.marking_count(), space.marking_count(),
+         space.transitions().size(),
+         space.transitions().size() * sizeof(pepanet::MarkingTransition),
+         seconds});
+  }
+  util::TextTable quotient_table({"model", "full states", "quotient",
+                                  "reduction", "transitions",
+                                  "transitions/block", "derive ms"});
+  for (const QuotientRow& row : quotient_rows) {
+    const double reduction = static_cast<double>(row.full_states) /
+                             static_cast<double>(row.states);
+    const double per_block = static_cast<double>(row.transitions) /
+                             static_cast<double>(row.states);
     quotient_table.add_row_values(
-        point.label, {static_cast<double>(point.full_states),
-                      static_cast<double>(space.state_count()), reduction,
-                      seconds * 1e3});
+        row.label, {static_cast<double>(row.full_states),
+                    static_cast<double>(row.states), reduction,
+                    static_cast<double>(row.transitions), per_block,
+                    row.seconds * 1e3});
     bench::json_record(bench::JsonObject()
-                           .field("model", point.label + " quotient")
+                           .field("model", row.label + " quotient")
                            .field("threads", std::size_t{1})
-                           .field("states", space.state_count())
-                           .field("transitions", space.transitions().size())
-                           .field("full_states", point.full_states)
+                           .field("states", row.states)
+                           .field("transitions", row.transitions)
+                           .field("transitions_per_block", per_block)
+                           .field("transition_bytes", row.transition_bytes)
+                           .field("full_states", row.full_states)
                            .field("memory_reduction", reduction)
-                           .field("seconds", seconds)
+                           .field("seconds", row.seconds)
                            .field("states_per_second",
-                                  static_cast<double>(space.state_count()) /
-                                      seconds));
+                                  static_cast<double>(row.states) /
+                                      row.seconds));
   }
   std::cout << "quotient-direct derivation (full counts from the closed"
-               " forms; reduction = full/quotient = the memory ratio):\n"
+               " forms, measured for the net; reduction = full/quotient"
+               " states):\n"
             << quotient_table << '\n';
 }
 

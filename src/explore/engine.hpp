@@ -106,6 +106,11 @@ struct DeriveStats {
   /// with dedup_misses this yields the on-the-fly aggregation's reduction
   /// evidence: rewrites happened and the explored space is the quotient.
   std::size_t canonical_rewrites = 0;
+  /// Replicas a count-vector derivation folded into counted groups (per
+  /// group, its replica count minus one); 0 when states are terms.  The
+  /// count-vector counterpart of canonical_rewrites as evidence that
+  /// exchangeable replicas collapsed.
+  std::size_t collapsed_replicas = 0;
   /// Wall-clock derivation time.
   double seconds = 0.0;
 };

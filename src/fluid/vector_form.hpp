@@ -1,17 +1,11 @@
-// The numerical vector form of a PEPA model (Ding & Hillston): instead of
-// interleaving cooperating components into one global state space, the
-// system equation is read as a static cooperation tree whose leaves are
-// sequential components.  Identical replicas composed over the empty
-// cooperation set are merged into one *group* with a count, and the model
-// state becomes a vector of occupancy counts over the groups' local
-// derivative sets.  The mean-field (fluid) approximation then treats the
-// counts as continuous and moves mass along local transitions at rates
-// governed by PEPA's min-based apparent-rate cooperation law.
-//
-// Everything here is derived directly from pepa::Semantics — local
-// derivative sets come from a per-component breadth-first closure, never
-// from the exponential global interleaving — so construction cost is
-// independent of the population size.
+// The mean-field (fluid) reading of the numerical vector form (Ding &
+// Hillston): the structural half — groups of identical replicas with a
+// count, the static cooperation tree, local transitions — is
+// pepa::VectorForm (pepa/vector_form.hpp), which the exact quotient-direct
+// derivation explores as a count-vector chain.  The fluid approximation
+// treats the same counts as continuous and moves mass along local
+// transitions at rates governed by PEPA's min-based apparent-rate
+// cooperation law.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "pepa/semantics.hpp"
+#include "pepa/vector_form.hpp"
 
 namespace choreo::fluid {
 
@@ -33,64 +27,23 @@ struct BuildOptions {
   bool allow_top_level_passive = false;
 };
 
-/// One local transition of a group, in global vector coordinates.
-struct LocalTransition {
-  std::uint32_t source;        ///< index into the population vector
-  std::uint32_t target;        ///< index into the population vector
-  pepa::ActionId action;
-  std::uint32_t action_slot;   ///< index into VectorForm::actions()
-  double rate;                 ///< active rate value or passive weight
-  bool passive;
-};
+using pepa::Group;
+using pepa::LocalTransition;
+using pepa::TreeNode;
 
-/// A maximal set of identical sequential components composed over the empty
-/// cooperation set, represented once with a replica count.
-struct Group {
-  pepa::ProcessId initial = pepa::kInvalidProcess;  ///< shared initial derivative
-  double count = 0.0;     ///< number of replicas (integral by construction)
-  std::uint32_t first = 0;  ///< offset of this group's states in the vector
-  std::vector<pepa::ProcessId> states;  ///< local derivative set, BFS order
-  std::uint32_t first_transition = 0;   ///< slice into VectorForm::transitions()
-  std::uint32_t transition_count = 0;
-};
-
-/// Static cooperation structure over the groups: leaves reference groups,
-/// internal nodes carry the cooperation set.  Chains of cooperations over
-/// the same action set are flattened (min and + are associative), so a
-/// left-deep fold of N replicas becomes one node with one counted leaf.
-struct TreeNode {
-  std::int32_t group = -1;               ///< >= 0: leaf, index into groups()
-  std::vector<std::uint32_t> children;   ///< internal node only
-  std::vector<pepa::ActionId> coop_set;  ///< internal node only (sorted)
-};
-
-class VectorForm {
+class VectorForm : public pepa::VectorForm {
  public:
   /// Derives the vector form of `system`.  Throws util::ModelError when the
-  /// term cannot be represented (hiding or choice over a composition, an
-  /// action offered both actively and passively by one component, a
-  /// passively-offered top-level action unless allowed) and
-  /// util::BudgetError when a local derivative set exceeds the bound.
+  /// term cannot be represented (see pepa::VectorForm::build), when an
+  /// action is offered both actively and passively across independent
+  /// components, or for a passively-offered top-level action unless
+  /// allowed; util::BudgetError when a local derivative set exceeds the
+  /// bound.
   static VectorForm build(pepa::Semantics& semantics, pepa::ProcessId system,
                           const BuildOptions& options = {});
 
-  /// Length of the population vector (total local states over all groups).
-  std::size_t dimension() const noexcept { return dimension_; }
-
   /// The initial population: each group's count on its initial state.
   std::vector<double> initial_state() const;
-
-  const std::vector<Group>& groups() const noexcept { return groups_; }
-  const std::vector<LocalTransition>& transitions() const noexcept {
-    return transitions_;
-  }
-  /// Actions with at least one local transition, sorted by id.
-  const std::vector<pepa::ActionId>& actions() const noexcept {
-    return actions_;
-  }
-  const std::vector<TreeNode>& tree() const noexcept { return tree_; }
-  std::uint32_t root() const noexcept { return root_; }
-  const pepa::ProcessArena& arena() const noexcept { return *arena_; }
 
   /// The mean-field drift dx = f(x): for every group g and local transition
   /// s -a-> s', mass flows at rate T_a(g) * x[s] r / A_a(g) where A_a(g) is
@@ -128,7 +81,7 @@ class VectorForm {
   enum class Kind : std::uint8_t { kDisabled, kActive, kPassive };
 
   Kind kind(std::uint32_t node, std::uint32_t slot) const {
-    return kinds_[node * actions_.size() + slot];
+    return kinds_[node * actions().size() + slot];
   }
 
   /// Fills `apparent` (groups x slots) and `value`/`avail`/`throughput`
@@ -137,14 +90,7 @@ class VectorForm {
                 std::vector<double>& value, std::vector<double>& avail,
                 std::vector<double>& throughput) const;
 
-  const pepa::ProcessArena* arena_ = nullptr;
-  std::vector<Group> groups_;
-  std::vector<LocalTransition> transitions_;
-  std::vector<pepa::ActionId> actions_;
-  std::vector<TreeNode> tree_;
-  std::uint32_t root_ = 0;
-  std::size_t dimension_ = 0;
-  /// kinds_[node * actions_.size() + slot]
+  /// kinds_[node * actions().size() + slot]
   std::vector<Kind> kinds_;
   /// enabled_sources_[group][slot]: distinct vector indices of the group's
   /// states offering the action — the mass summed into the availability

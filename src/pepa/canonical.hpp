@@ -1,5 +1,7 @@
 // Sort-canonical representatives of PEPA terms: the state policy behind
-// on-the-fly aggregation (explore::run's canonicalization stage).
+// on-the-fly aggregation (explore::run's canonicalization stage) for models
+// the count-vector quotient does not cover (see DeriveOptions::aggregate),
+// and the term half of pepanet::MarkingCanonicalizer.
 //
 // PEPA cooperation over one action set L is commutative and associative up
 // to strong equivalence (the apparent-rate minimum is symmetric and
@@ -8,10 +10,9 @@
 // populations, folded over the empty set — may be reordered freely without
 // changing the induced CTMC up to lumping.  The canonicalizer flattens every
 // such spine, canonicalizes the siblings, sorts them under a *structural*
-// order, and rebuilds the same balanced shape `families.cpp` uses.  Deriving
-// through this rewrite makes the explored space the population-vector
-// quotient of Ding & Hillston's vector form: a state is "how many replicas
-// sit in each local derivative", not "which replica sits where".
+// order, and rebuilds the same balanced shape `families.cpp` uses, so
+// permutation-equivalent states collapse at discovery time.  Unlike count
+// vectors, every replica's move stays its own transition.
 //
 // The sibling order must not depend on ProcessIds: the arena interns nodes
 // concurrently, so ids differ from run to run and lane count to lane count,

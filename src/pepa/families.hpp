@@ -72,7 +72,7 @@ std::size_t pda_handover_states(std::size_t pdas, std::size_t transmitters);
 std::size_t ring_states(std::size_t stations);
 
 /// Block counts of the strong-equivalence (population-vector) quotients the
-/// sort-canonical derivation (DeriveOptions::aggregate) explores, in closed
+/// quotient-direct derivation (DeriveOptions::aggregate) explores, in closed
 /// form.  Replicated siblings are indistinguishable there, so a state is a
 /// population vector rather than an interleaving:
 ///

@@ -41,11 +41,43 @@ bool occupies(const ProcessArena& arena, ProcessId term, ConstantId constant) {
   }
 }
 
+namespace {
+/// Count-vector spaces: how many replicas occupying `constant` each state
+/// holds — the coordinates whose local derivative occupies it, summed —
+/// read off the counts without building a term per state.
+std::vector<std::size_t> occupants(const StateSpace& space,
+                                   const ProcessArena& arena,
+                                   ConstantId constant) {
+  const VectorForm& form = *space.vector_form();
+  std::vector<std::uint32_t> coordinates;
+  for (const Group& group : form.groups()) {
+    for (std::uint32_t s = 0; s < group.states.size(); ++s) {
+      if (occupies(arena, group.states[s], constant)) {
+        coordinates.push_back(group.first + s);
+      }
+    }
+  }
+  std::vector<std::size_t> out(space.state_count(), 0);
+  for (std::size_t state = 0; state < out.size(); ++state) {
+    const auto counts = space.state_counts(state);
+    for (const std::uint32_t c : coordinates) out[state] += counts[c];
+  }
+  return out;
+}
+}  // namespace
+
 double state_probability(const StateSpace& space,
                          std::span<const double> distribution,
                          const ProcessArena& arena, ConstantId constant) {
   CHOREO_ASSERT(distribution.size() == space.state_count());
   double sum = 0.0;
+  if (space.vector_form() != nullptr) {
+    const std::vector<std::size_t> count = occupants(space, arena, constant);
+    for (std::size_t s = 0; s < count.size(); ++s) {
+      if (count[s] != 0) sum += distribution[s];
+    }
+    return sum;
+  }
   for (std::size_t s = 0; s < space.state_count(); ++s) {
     if (occupies(arena, space.state_term(s), constant)) sum += distribution[s];
   }
@@ -75,6 +107,13 @@ double mean_population(const StateSpace& space,
                        const ProcessArena& arena, ConstantId constant) {
   CHOREO_ASSERT(distribution.size() == space.state_count());
   double sum = 0.0;
+  if (space.vector_form() != nullptr) {
+    const std::vector<std::size_t> count = occupants(space, arena, constant);
+    for (std::size_t s = 0; s < count.size(); ++s) {
+      sum += distribution[s] * static_cast<double>(count[s]);
+    }
+    return sum;
+  }
   for (std::size_t s = 0; s < space.state_count(); ++s) {
     sum += distribution[s] *
            static_cast<double>(count_occurrences(arena, space.state_term(s), constant));

@@ -1,5 +1,6 @@
 #include "pepa/statespace.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "pepa/canonical.hpp"
@@ -7,6 +8,28 @@
 #include "util/stopwatch.hpp"
 
 namespace choreo::pepa {
+
+namespace {
+
+/// The vector form the count-vector quotient explores, or nullptr when
+/// `system` has none (outside the fragment: hiding or choice over a
+/// composition, an oversized sequential component) or no group holds two
+/// or more replicas — then nothing collapses and canonical terms are the
+/// cheaper representation.
+std::unique_ptr<const VectorForm> count_vector_form(Semantics& semantics,
+                                                    ProcessId system) {
+  try {
+    auto form = std::make_unique<VectorForm>(
+        VectorForm::build(semantics, system));
+    for (const Group& group : form->groups()) {
+      if (group.count >= 2) return form;
+    }
+  } catch (const util::ModelError&) {  // BudgetError included
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
                               const DeriveOptions& options) {
@@ -28,9 +51,14 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
       "' occurs passively at the top level of the model: it would never"
       " be performed; synchronise it with an active partner";
 
-  auto run_with = [&](auto&& canonicalize) {
+  const ProcessId system = expand_static(semantics.arena(), initial);
+  auto commit = [&space](std::size_t source, const auto& move,
+                         std::size_t target) {
+    space.lts_.push_back({source, target, move.action, move.rate.value()});
+  };
+  auto run_terms = [&](auto&& canonicalize) {
     return explore::run(
-        space.states_, space.index_, expand_static(semantics.arena(), initial),
+        space.states_, space.index_, system,
         [&semantics](const ProcessId& term) {
           // Copy: concurrent workers may grow the cache under the ref.
           return std::vector<Derivative>(semantics.derivatives(term));
@@ -39,34 +67,89 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
         [&semantics](const Derivative& move) {
           return semantics.arena().action_name(move.action);
         },
-        [&space](std::size_t source, const Derivative& move,
-                 std::size_t target) {
-          space.lts_.push_back(
-              {source, target, move.action, move.rate.value()});
-        },
-        engine);
+        commit, engine);
   };
-  if (options.aggregate) {
-    // Quotient-direct derivation: successors collapse to sort-canonical
-    // representatives before interning; parallel moves into one block are
-    // committed separately and summed by the generator build, which is
-    // exactly the lumped rate.  The memo lives for this derivation only.
+  if (!options.aggregate) {
+    space.stats_ = run_terms(explore::NoCanonicalize{});
+  } else if (auto form = count_vector_form(semantics, system)) {
+    // Count-vector quotient: the states are already canonical, and each
+    // state's moves come merged per (target, action), so the transitions
+    // scale with the quotient rather than with the replica count.
+    space.aggregated_ = true;
+    engine.bytes_per_state = 2 * (sizeof(CountVector) +
+                                  form->dimension() * sizeof(std::uint32_t)) +
+                             sizeof(std::size_t);
+    const std::vector<double> rates = form->local_rates();
+    space.stats_ = explore::run(
+        space.counts_, space.count_index_, form->initial_counts(),
+        [&form, &rates](const CountVector& counts) {
+          return form->moves(counts, rates);
+        },
+        explore::NoCanonicalize{},
+        [&semantics](const CountMove& move) {
+          return semantics.arena().action_name(move.action);
+        },
+        commit, engine);
+    for (const Group& group : form->groups()) {
+      space.stats_.collapsed_replicas += group.count - 1;
+    }
+    space.form_ = std::move(form);
+  } else {
+    // Sort-canonical terms: successors collapse to their representatives
+    // before interning; parallel moves into one block are committed
+    // separately and summed by the generator build, which is exactly the
+    // lumped rate.  The memo lives for this derivation only.
     space.aggregated_ = true;
     Canonicalizer canonicalizer(semantics.arena());
-    space.stats_ = run_with(
+    space.stats_ = run_terms(
         [&canonicalizer](ProcessId& term) { return canonicalizer(term); });
-  } else {
-    space.stats_ = run_with(explore::NoCanonicalize{});
   }
-  space.lts_.finalize(space.states_.size());
+  space.lts_.finalize(space.state_count());
   space.stats_.seconds = timer.seconds();
   return space;
 }
 
+ProcessId StateSpace::state_term(std::size_t index) const {
+  return form_ ? form_->term_of(counts_[index]) : states_[index];
+}
+
 std::optional<std::size_t> StateSpace::index_of(ProcessId term) const {
-  const std::size_t* found = index_.find(term);
+  const std::size_t* found = nullptr;
+  if (!form_) {
+    found = index_.find(term);
+  } else if (const auto counts = form_->counts_of(term)) {
+    found = count_index_.find(*counts);
+  }
   if (found == nullptr) return std::nullopt;
   return *found;
+}
+
+std::vector<double> StateSpace::rates_under(
+    std::span<const double> local_rates) const {
+  CHOREO_ASSERT(form_ != nullptr);
+  const std::vector<StateTransition>& stored = lts_.transitions();
+  std::vector<double> rates;
+  rates.reserve(stored.size());
+  for (std::size_t state = 0; state < counts_.size(); ++state) {
+    for (const CountMove& move : form_->moves(counts_[state], local_rates)) {
+      // Passive moves survive derivation only as dropped ones.
+      if (move.rate.is_passive()) continue;
+      const std::size_t i = rates.size();
+      if (i >= stored.size() || stored[i].source != state ||
+          stored[i].action != move.action) {
+        throw util::ModelError(util::msg(
+            "rates do not preserve the count-vector moves at state ", state,
+            "; the derived state space cannot be reused"));
+      }
+      rates.push_back(move.rate.value());
+    }
+  }
+  if (rates.size() != stored.size()) {
+    throw util::ModelError(
+        "rates do not preserve the count-vector moves; the derived state "
+        "space cannot be reused");
+  }
+  return rates;
 }
 
 ctmc::Generator StateSpace::generator() const {

@@ -15,13 +15,16 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ctmc/generator.hpp"
 #include "explore/engine.hpp"
 #include "explore/transition_system.hpp"
 #include "pepa/semantics.hpp"
+#include "pepa/vector_form.hpp"
 #include "util/budget.hpp"
 #include "util/striped_map.hpp"
 #include "util/thread_pool.hpp"
@@ -51,17 +54,29 @@ struct DeriveOptions {
   /// derivation stops within one frontier level of the request) and charged
   /// with every discovered state.  nullptr disables governance.
   util::Budget* budget = nullptr;
-  /// Derive the strong-equivalence quotient directly: every successor is
-  /// rewritten to its sort-canonical representative (replicated siblings of
-  /// same-set cooperation spines reordered, see pepa/canonical.hpp) before
-  /// interning, so permutation-equivalent states collapse at discovery time
-  /// and the explored space — and therefore max_states, the budget's
-  /// state/byte accounting and peak memory — is the quotient, not the full
-  /// interleaved chain.  Throughputs and the presence/count measures
-  /// (state_probability, mean_population) are permutation-invariant and
-  /// stay exact; the state terms exposed by state_term() are canonical
-  /// representatives.  The quotient is byte-identical at every lane count,
-  /// like the full space.
+  /// Derive a strong-equivalence quotient directly, so the explored space
+  /// — and therefore max_states, the budget's state/byte accounting and
+  /// peak memory — is the quotient, not the full interleaved chain.  The
+  /// representation follows from the model:
+  ///
+  ///   - count vectors (pepa/vector_form.hpp) when the system equation has
+  ///     a vector form and some group holds two or more identical replicas
+  ///     over the empty set: a state is "how many replicas sit in each
+  ///     local derivative", and parallel moves into one (target, action)
+  ///     are merged into one transition, so the stored transitions scale
+  ///     with the quotient, not with the replica count;
+  ///   - sort-canonical terms otherwise (pepa/canonical.hpp): every
+  ///     successor is rewritten to its representative under reordering of
+  ///     same-set cooperands before interning.
+  ///
+  /// Both are exact: throughputs and the presence/count measures
+  /// (state_probability, mean_population) are unchanged, and the quotient
+  /// is byte-identical at every lane count, like the full space.  Neither
+  /// is always the coarsest lumping: count vectors keep synchronised
+  /// identical replicas (P <a> P) and models outside the vector-form
+  /// fragment fall back to canonical terms, which do not see symmetries
+  /// beyond sibling reordering — such models get a finer, still exact,
+  /// quotient (post-hoc pepa::aggregate reaches the coarsest one).
   bool aggregate = false;
 };
 
@@ -83,9 +98,31 @@ class StateSpace {
   static StateSpace derive(Semantics& semantics, ProcessId initial,
                            const DeriveOptions& options = {});
 
-  std::size_t state_count() const noexcept { return states_.size(); }
-  ProcessId state_term(std::size_t index) const { return states_[index]; }
+  std::size_t state_count() const noexcept {
+    return form_ ? counts_.size() : states_.size();
+  }
+  /// The state's term; on count-vector spaces a representative built from
+  /// the counts on demand (VectorForm::term_of).
+  ProcessId state_term(std::size_t index) const;
+  /// The state of `term`.  On count-vector spaces any term of the model is
+  /// accepted — the derivation's own or a reordering of same-set
+  /// cooperands — and located through its count vector.
   std::optional<std::size_t> index_of(ProcessId term) const;
+
+  /// The vector form whose count vectors are this space's states, or
+  /// nullptr when states are terms (see DeriveOptions::aggregate).
+  const VectorForm* vector_form() const noexcept { return form_.get(); }
+  /// The count vector of a state; count-vector spaces only.
+  std::span<const std::uint32_t> state_counts(std::size_t index) const {
+    return counts_[index];
+  }
+
+  /// Count-vector spaces only: the transition rates with `local_rates`
+  /// (one per vector_form()->transitions() entry) in place of the local
+  /// transitions' own rates — every state's moves re-enumerated in
+  /// derivation order, so entry i belongs to transitions()[i].  Throws
+  /// util::ModelError when the moves no longer align with the stored ones.
+  std::vector<double> rates_under(std::span<const double> local_rates) const;
 
   /// The CSR-indexed labelled transition system.
   const explore::TransitionSystem<StateTransition>& lts() const noexcept {
@@ -101,8 +138,8 @@ class StateSpace {
   const DeriveStats& stats() const noexcept { return stats_; }
 
   /// True when this space was derived quotient-direct (DeriveOptions::
-  /// aggregate): states are canonical representatives of strong-equivalence
-  /// blocks, not raw interleavings.
+  /// aggregate): states are strong-equivalence blocks (count vectors or
+  /// canonical representatives), not raw interleavings.
   bool aggregated() const noexcept { return aggregated_; }
 
   /// The CTMC generator (parallel transitions summed), built directly from
@@ -123,6 +160,11 @@ class StateSpace {
   /// targets against earlier levels while the serial renumbering pass owns
   /// the writes.
   util::StripedMap<ProcessId, std::size_t> index_;
+  /// Count-vector spaces: the form, the states and their index (states_
+  /// and index_ stay empty).
+  std::unique_ptr<const VectorForm> form_;
+  std::vector<CountVector> counts_;
+  util::StripedMap<CountVector, std::size_t, CountVectorHash> count_index_;
   explore::TransitionSystem<StateTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;

@@ -92,6 +92,28 @@ std::vector<double> SharedStructure::rebind_rates(RateRebinder::Point& point) {
     }
     return rates;
   }
+  if (const pepa::VectorForm* form = space_.vector_form()) {
+    // Count-vector quotient: rebind the local transitions — each local
+    // state's rate-only SOS walk, folded onto the transitions its
+    // derivatives were merged into — then re-enumerate the count-vector
+    // moves under those rates, in derivation order.
+    std::vector<double> local(form->transitions().size(), 0.0);
+    for (const pepa::Group& group : form->groups()) {
+      for (std::uint32_t s = 0; s < group.states.size(); ++s) {
+        const std::vector<RatedMove>& moves = point.moves(group.states[s]);
+        const auto slots = form->derivative_transitions(group.first + s);
+        if (moves.size() != slots.size()) {
+          throw util::ModelError(
+              "sweep point does not preserve the model structure; the "
+              "derived state space cannot be reused");
+        }
+        for (std::size_t j = 0; j < moves.size(); ++j) {
+          local[slots[j]] += moves[j].rate.value();
+        }
+      }
+    }
+    return space_.rates_under(local);
+  }
   const pepa::StateTransition* base = transitions.data();
   for (std::size_t state = 0; state < space_.state_count(); ++state) {
     const std::span<const pepa::StateTransition> row = space_.lts().from(state);

@@ -145,7 +145,11 @@ int solve_pepa(const std::string& source, const std::string& name,
             << space.state_count() << " states, "
             << space.transitions().size() << " transitions (derived in "
             << space.stats().seconds * 1e3 << " ms)\n";
-  if (quotient) {
+  if (space.vector_form() != nullptr) {
+    std::cout << "quotient-direct derivation: count vectors, "
+              << space.stats().collapsed_replicas
+              << " replica(s) folded into counted groups\n";
+  } else if (quotient) {
     std::cout << "quotient-direct derivation: "
               << space.stats().canonical_rewrites
               << " successor(s) rewritten to canonical representatives\n";

@@ -55,10 +55,6 @@ struct FailureSlot {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t worker_count) {
-  if (worker_count == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    worker_count = hw > 1 ? hw - 1 : 0;  // leave the calling thread a core
-  }
   workers_.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -217,8 +213,13 @@ void ThreadPool::parallel_for_dynamic(
   failure.rethrow_if_set();
 }
 
+ThreadPool ThreadPool::hardware_sized() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return ThreadPool(hw > 1 ? hw - 1 : 0);
+}
+
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool;
+  static ThreadPool pool = hardware_sized();
   return pool;
 }
 

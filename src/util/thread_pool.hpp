@@ -30,8 +30,14 @@ namespace choreo::util {
 
 class ThreadPool {
  public:
-  /// Spawns `worker_count` workers; 0 means std::thread::hardware_concurrency.
-  explicit ThreadPool(std::size_t worker_count = 0);
+  /// Spawns exactly `worker_count` workers.  0 spawns none: every entry
+  /// point then runs its work inline on the calling thread.
+  explicit ThreadPool(std::size_t worker_count);
+
+  /// A pool sized to the host: hardware_concurrency - 1 workers, leaving
+  /// the calling thread (itself a lane in parallel_for) a core.  Inline (no
+  /// workers) on a single-core host.
+  static ThreadPool hardware_sized();
 
   /// Drains every queued task (workers finish outstanding work before
   /// exiting), then joins the workers.
@@ -79,7 +85,8 @@ class ThreadPool {
     return future;
   }
 
-  /// The process-wide pool used by library kernels by default.
+  /// The process-wide pool used by library kernels by default; sized like
+  /// hardware_sized().
   ///
   /// Static-destruction contract: the pool is a function-local static, so
   /// it is constructed on first call and destroyed during static

@@ -1,7 +1,8 @@
 // Tests of the fluid (mean-field ODE) backend: vector-form construction,
 // the Dormand-Prince stepper, and the validation ladder of the issue —
 // fluid vs the full interleaved CTMC at small N, fluid vs the exact
-// population (count-vector) CTMC at N up to 1000, and fluid vs simulation.
+// population (count-vector) CTMC — StateSpace::derive's quotient — at N up
+// to 1000, and fluid vs simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +10,6 @@
 #include "ctmc/steady_state.hpp"
 #include "fluid/analysis.hpp"
 #include "fluid/ode.hpp"
-#include "fluid/population.hpp"
 #include "fluid/vector_form.hpp"
 #include "pepa/families.hpp"
 #include "pepa/measures.hpp"
@@ -26,6 +26,16 @@ namespace cs = choreo::sim;
 namespace cu = choreo::util;
 
 namespace {
+
+/// The exact count-vector chain: the quotient-direct derivation of a
+/// replicated model.
+cp::StateSpace derive_population(cp::Semantics& semantics, cp::ProcessId system,
+                                 std::size_t max_states = 4'000'000) {
+  cp::DeriveOptions options;
+  options.aggregate = true;
+  options.max_states = max_states;
+  return cp::StateSpace::derive(semantics, system, options);
+}
 
 double throughput_of(const std::vector<std::pair<cp::ActionId, double>>& list,
                      cp::ActionId action) {
@@ -179,18 +189,19 @@ TEST(Population, MatchesFullInterleavedChain) {
   const double full_throughput =
       cp::action_throughput(space, full.distribution, request);
 
-  const auto form = cf::VectorForm::build(semantics, model.system());
-  const auto population = cf::derive_population(form);
+  const auto population = derive_population(semantics, model.system());
+  ASSERT_NE(population.vector_form(), nullptr);
   EXPECT_LT(population.state_count(), space.state_count());
   const auto lumped = cc::steady_state(population.generator());
   const double lumped_throughput =
-      population.action_throughput(lumped.distribution, request);
+      cp::action_throughput(population, lumped.distribution, request);
 
   EXPECT_NEAR(lumped_throughput, full_throughput, 1e-8);
 
   const auto client = model.arena().find_constant("Client");
   ASSERT_TRUE(client.has_value());
-  EXPECT_NEAR(population.mean_population(lumped.distribution, form, *client),
+  EXPECT_NEAR(cp::mean_population(population, lumped.distribution,
+                                  model.arena(), *client),
               cp::mean_population(space, full.distribution, model.arena(),
                                   *client),
               1e-8);
@@ -202,10 +213,8 @@ TEST(Population, BudgetBoundsExploration) {
   // trip a tiny bound (client_server's lockstep chain never would).
   auto model = cp::pda_handover(100);
   cp::Semantics semantics(model.arena());
-  const auto form = cf::VectorForm::build(semantics, model.system());
-  cf::PopulationOptions options;
-  options.max_states = 16;
-  EXPECT_THROW(cf::derive_population(form, options), cu::BudgetError);
+  EXPECT_THROW(derive_population(semantics, model.system(), 16),
+               cu::BudgetError);
 }
 
 // The acceptance ladder: fluid vs the exact population chain on the
@@ -227,13 +236,12 @@ TEST_P(FluidVsExact, ClientServerThroughputAndPopulation) {
   const auto waiting = *model.arena().find_constant("ClientWaiting");
 
   cp::Semantics semantics(model.arena());
-  const auto form = cf::VectorForm::build(semantics, model.system());
-  const auto population = cf::derive_population(form);
+  const auto population = derive_population(semantics, model.system());
   const auto exact = cc::steady_state(population.generator());
   const double exact_throughput =
-      population.action_throughput(exact.distribution, request);
-  const double exact_waiting =
-      population.mean_population(exact.distribution, form, waiting);
+      cp::action_throughput(population, exact.distribution, request);
+  const double exact_waiting = cp::mean_population(
+      population, exact.distribution, model.arena(), waiting);
 
   cf::FluidOptions options;
   const auto fluid = cf::solve_steady(semantics, model.system(), options);
@@ -254,11 +262,10 @@ TEST_P(FluidVsExact, PdaHandoverThroughput) {
   const auto handover = *model.arena().find_action("handover");
 
   cp::Semantics semantics(model.arena());
-  const auto form = cf::VectorForm::build(semantics, model.system());
-  const auto population = cf::derive_population(form);
+  const auto population = derive_population(semantics, model.system());
   const auto exact = cc::steady_state(population.generator());
   const double exact_throughput =
-      population.action_throughput(exact.distribution, handover);
+      cp::action_throughput(population, exact.distribution, handover);
 
   const auto fluid = cf::solve_steady(semantics, model.system());
   EXPECT_LT(relative_error(throughput_of(fluid.throughputs, handover),

@@ -1,6 +1,7 @@
 // Tests for quotient-direct derivation (DeriveOptions::aggregate): the
-// exploration engine canonicalizes every successor before interning, so
-// the explored space *is* the strong-equivalence quotient.  The post-hoc
+// exploration engine explores count vectors (replicated PEPA models) or
+// canonicalizes every successor before interning (the rest, and PEPA
+// nets), so the explored space *is* a strong-equivalence quotient.  The post-hoc
 // lumping (pepa::aggregate / pepanet::aggregate) acts as the correctness
 // oracle throughout: block counts must agree exactly, the canonical map
 // must induce the same partition as the coarsest labelled lumping, and
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -121,7 +123,10 @@ TEST(QuotientPepa, ClientServerMatchesClosedFormAndOracle) {
     const auto quotient =
         cp::StateSpace::derive(semantics, model.system(), options);
     EXPECT_EQ(quotient.state_count(), cp::client_server_quotient_states(4, 3));
-    EXPECT_GT(quotient.stats().canonical_rewrites, 0u);
+    // Count-vector derivation: 4 clients and 3 servers fold into two
+    // counted groups.
+    ASSERT_NE(quotient.vector_form(), nullptr);
+    EXPECT_EQ(quotient.stats().collapsed_replicas, 3u + 2u);
   }
   expect_quotient_matches_oracle(model);
 }
@@ -158,17 +163,16 @@ TEST(QuotientPepa, RingIsTheNoCollapseControl) {
 }
 
 TEST(QuotientPepa, ByteIdenticalAcrossLaneCounts) {
-  // The canonical representative is chosen by structural order, never by
-  // interning order, so the quotient (states *and* transitions) is
+  // Count vectors and canonical representatives are chosen by structure,
+  // never by interning order, so the quotient (states *and* transitions) is
   // identical at every lane count.  Fresh models per lane: nothing can
   // leak through a shared arena.
   using Rendered = std::pair<std::vector<std::string>,
                              std::vector<std::tuple<std::size_t, std::size_t,
                                                     std::uint32_t, double>>>;
-  auto render = [](std::size_t threads) -> Rendered {
-    cp::ClientServerParams params;
-    params.servers = 3;
-    cp::Model model = cp::client_server(5, params);
+  auto render = [](const std::function<cp::Model()>& build,
+                   std::size_t threads) -> Rendered {
+    cp::Model model = build();
     cp::Semantics semantics(model.arena());
     cp::DeriveOptions options;
     options.aggregate = true;
@@ -184,10 +188,103 @@ TEST(QuotientPepa, ByteIdenticalAcrossLaneCounts) {
     }
     return out;
   };
-  const Rendered lane1 = render(1);
-  EXPECT_EQ(lane1.first.size(), cp::client_server_quotient_states(5, 3));
-  EXPECT_EQ(render(2), lane1);
-  EXPECT_EQ(render(8), lane1);
+  const std::function<cp::Model()> client_server = [] {
+    cp::ClientServerParams params;
+    params.servers = 3;
+    return cp::client_server(5, params);
+  };
+  const std::function<cp::Model()> pda_handover = [] {
+    cp::PdaHandoverParams params;
+    params.transmitters = 6;
+    return cp::pda_handover(30, params);
+  };
+  const Rendered clients = render(client_server, 1);
+  EXPECT_EQ(clients.first.size(), cp::client_server_quotient_states(5, 3));
+  const Rendered pdas = render(pda_handover, 1);
+  EXPECT_EQ(pdas.first.size(), cp::pda_handover_quotient_states(30, 6));
+  for (const std::size_t lanes : {4u, 8u}) {
+    EXPECT_EQ(render(client_server, lanes), clients) << lanes << " lanes";
+    EXPECT_EQ(render(pda_handover, lanes), pdas) << lanes << " lanes";
+  }
+}
+
+TEST(QuotientPepa, TransitionsScaleWithTheQuotient) {
+  // Count-vector states merge the replicas' parallel moves into one
+  // transition per (target, action): the stored transitions track the
+  // block count, not the replica count (sort-canonical terms kept one
+  // transition per replica move: 52,920 and 43,540 here).
+  auto derive = [](cp::Model model) {
+    cp::Semantics semantics(model.arena());
+    cp::DeriveOptions options;
+    options.aggregate = true;
+    const auto space =
+        cp::StateSpace::derive(semantics, model.system(), options);
+    return std::make_pair(space.state_count(), space.transitions().size());
+  };
+  cp::PdaHandoverParams pda_params;
+  pda_params.transmitters = 20;
+  const auto [pda_states, pda_transitions] =
+      derive(cp::pda_handover(20, pda_params));
+  EXPECT_EQ(pda_states, cp::pda_handover_quotient_states(20, 20));
+  EXPECT_LE(pda_transitions, 1240u);
+
+  cp::ClientServerParams server_params;
+  server_params.servers = 20;
+  const auto [server_states, server_transitions] =
+      derive(cp::client_server(200, server_params));
+  EXPECT_EQ(server_states, cp::client_server_quotient_states(200, 20));
+  EXPECT_LE(server_transitions, 40u);
+}
+
+TEST(QuotientPepa, SynchronisedReplicasStayApartButLumpToTheOracle) {
+  // The vector form groups only replicas over the empty set: the two
+  // synchronised Ps are separate count-one groups, so (P, P1) and (P1, P)
+  // stay distinct blocks while the three Qs collapse to counts.  The
+  // quotient is finer than the coarsest lumping but exact — throughputs
+  // match the full chain, and lumping it post hoc reaches the oracle.
+  cp::Model model = cp::parse_model(R"(
+    P = (a, 2.0).P1;
+    P1 = (b, 1.0).P;
+    Q = (c, 1.5).Q1;
+    Q1 = (d, 0.5).Q;
+    System = (P <a> P) || (Q || Q || Q);
+    @system System;
+  )");
+  cp::Semantics semantics(model.arena());
+  const cp::StateSpace full =
+      cp::StateSpace::derive(semantics, model.system());
+  cp::DeriveOptions options;
+  options.aggregate = true;
+  const cp::StateSpace quotient =
+      cp::StateSpace::derive(semantics, model.system(), options);
+  ASSERT_NE(quotient.vector_form(), nullptr);
+  EXPECT_EQ(full.state_count(), 4u * 8u);
+  EXPECT_EQ(quotient.state_count(), 4u * 4u);
+
+  const cc::LabelledLumping oracle = cp::aggregate(full);
+  EXPECT_EQ(oracle.block_count, 3u * 4u);
+  EXPECT_EQ(cp::aggregate(quotient).block_count, oracle.block_count);
+
+  // Every full state lands on the quotient through its count vector, and
+  // the block-aggregated full steady state is the quotient's.
+  const auto pi_full = cc::steady_state(full.generator()).distribution;
+  const auto pi_quotient = cc::steady_state(quotient.generator()).distribution;
+  std::vector<double> aggregated(quotient.state_count(), 0.0);
+  for (std::size_t i = 0; i < full.state_count(); ++i) {
+    const auto index = quotient.index_of(full.state_term(i));
+    ASSERT_TRUE(index.has_value()) << "full state " << i;
+    aggregated[*index] += pi_full[i];
+  }
+  for (std::size_t b = 0; b < aggregated.size(); ++b) {
+    EXPECT_NEAR(aggregated[b], pi_quotient[b], 1e-9) << "block " << b;
+  }
+  const auto action_count =
+      static_cast<cp::ActionId>(model.arena().action_count());
+  for (cp::ActionId action = 0; action < action_count; ++action) {
+    EXPECT_NEAR(cp::action_throughput(full, pi_full, action),
+                cp::action_throughput(quotient, pi_quotient, action), 1e-9)
+        << "action " << model.arena().action_name(action);
+  }
 }
 
 TEST(QuotientPepa, CompletesUnderBudgetTheFullChainExceeds) {
@@ -217,7 +314,7 @@ TEST(QuotientPepa, CompletesUnderBudgetTheFullChainExceeds) {
     const auto quotient =
         cp::StateSpace::derive(semantics, model.system(), options);
     EXPECT_EQ(quotient.state_count(), 3u);
-    EXPECT_GT(quotient.stats().canonical_rewrites, 0u);
+    EXPECT_GT(quotient.stats().collapsed_replicas, 0u);
   }
 
   // Same story in bytes: a budget ceiling the full chain blows through

@@ -235,12 +235,19 @@ TEST(ThreadPool, PropagatesExceptions) {
 
 TEST(ThreadPool, ZeroWorkerPoolRunsInline) {
   cu::ThreadPool pool(0);
+  EXPECT_EQ(pool.worker_count(), 0u);
   std::vector<int> hits(10, 0);
-  // worker_count may be 0 on a single-core host; parallel_for must still work.
   pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) hits[i]++;
   });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
+}
+
+TEST(ThreadPool, HardwareSizedLeavesTheCallerACore) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  cu::ThreadPool pool = cu::ThreadPool::hardware_sized();
+  EXPECT_EQ(pool.worker_count(), hw > 1 ? hw - 1 : 0u);
+  EXPECT_EQ(cu::ThreadPool::shared().worker_count(), pool.worker_count());
 }
 
 TEST(ThreadPool, SubmitReturnsWaitableResult) {
