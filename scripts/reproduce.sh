@@ -30,9 +30,9 @@ cmake --build build-tsan --target test_parallel_statespace test_service \
 # rewrite path: spine flattening, sibling sorting, balanced rebuild and
 # the memo) end to end under ASan+UBSan.
 cmake -B build-asan -G Ninja -DCHOREO_SANITIZE=address,undefined
-cmake --build build-asan --target pepa_workbench test_quotient
-./build-asan/src/tools/pepa_workbench models/file.pepa --quotient --aggregate \
-  --states 2>&1 | tee asan_output.txt
+cmake --build build-asan --target choreographer test_quotient
+./build-asan/src/tools/choreographer models/file.pepa --aggregation exact \
+  --lump --states 2>&1 | tee asan_output.txt
 ./build-asan/tests/test_quotient 2>&1 | tee -a asan_output.txt
 
 # Machine-readable bench artefacts (BENCH_statespace.json, BENCH_service.json).

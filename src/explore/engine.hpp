@@ -162,6 +162,43 @@ struct PendingMove {
   std::size_t resolved = kUnresolved;
 };
 
+/// Keys of run()'s level-local dedup set are indices into the state vector;
+/// lookups against a not-yet-numbered candidate go through this transparent
+/// wrapper so the candidate is never copied before it wins a number (the
+/// wrapper also keeps the overloads unambiguous when State is itself an
+/// integer type).
+template <typename State>
+struct FreshCandidate {
+  const State* state;
+};
+
+template <typename State, typename Hash>
+struct FreshHash {
+  using is_transparent = void;
+  const std::vector<State>* states;
+  std::size_t operator()(std::size_t idx) const {
+    return Hash{}((*states)[idx]);
+  }
+  std::size_t operator()(FreshCandidate<State> c) const {
+    return Hash{}(*c.state);
+  }
+};
+
+template <typename State>
+struct FreshEq {
+  using is_transparent = void;
+  const std::vector<State>* states;
+  bool operator()(std::size_t a, std::size_t b) const {
+    return (*states)[a] == (*states)[b];
+  }
+  bool operator()(std::size_t a, FreshCandidate<State> c) const {
+    return (*states)[a] == *c.state;
+  }
+  bool operator()(FreshCandidate<State> c, std::size_t a) const {
+    return *c.state == (*states)[a];
+  }
+};
+
 /// The identity canonicalization: every state is its own representative, so
 /// the explored space is the full chain (the default, golden-locked path).
 struct NoCanonicalize {
@@ -213,40 +250,13 @@ DeriveStats run(std::vector<State>& states,
   using Move = typename std::decay_t<
       decltype(successors(std::declval<const State&>()))>::value_type;
 
-  // The level-local dedup set for the serial phase: keys are indices into
-  // `states`, and lookups against a not-yet-numbered candidate go through a
-  // transparent wrapper so the candidate is never copied before it wins a
-  // number (the wrapper also keeps the overloads unambiguous when State is
-  // itself an integer type).  The shared index is never consulted here — it
-  // is immutable while a level runs, so a target the expansion phase left
-  // unresolved is either genuinely new or a duplicate within the level, and
-  // this set holds exactly those.
-  struct Candidate {
-    const State* state;
-  };
-  struct FreshHash {
-    using is_transparent = void;
-    const std::vector<State>* states;
-    std::size_t operator()(std::size_t idx) const {
-      return Hash{}((*states)[idx]);
-    }
-    std::size_t operator()(Candidate c) const { return Hash{}(*c.state); }
-  };
-  struct FreshEq {
-    using is_transparent = void;
-    const std::vector<State>* states;
-    bool operator()(std::size_t a, std::size_t b) const {
-      return (*states)[a] == (*states)[b];
-    }
-    bool operator()(std::size_t a, Candidate c) const {
-      return (*states)[a] == *c.state;
-    }
-    bool operator()(Candidate c, std::size_t a) const {
-      return *c.state == (*states)[a];
-    }
-  };
-  std::unordered_set<std::size_t, FreshHash, FreshEq> fresh(
-      16, FreshHash{&states}, FreshEq{&states});
+  // The level-local dedup set for the serial phase (see FreshHash).  The
+  // shared index is never consulted here — it is immutable while a level
+  // runs, so a target the expansion phase left unresolved is either
+  // genuinely new or a duplicate within the level, and this set holds
+  // exactly those.
+  std::unordered_set<std::size_t, FreshHash<State, Hash>, FreshEq<State>>
+      fresh(16, FreshHash<State, Hash>{&states}, FreshEq<State>{&states});
 
   while (!frontier.empty()) {
     ++stats.levels;
@@ -345,7 +355,8 @@ DeriveStats run(std::vector<State>& states,
           std::size_t target = pending_move.resolved;
           if (target != kUnresolved) {
             ++stats.dedup_hits;
-          } else if (const auto it = fresh.find(Candidate{&move.target});
+          } else if (const auto it =
+                         fresh.find(FreshCandidate<State>{&move.target});
                      it != fresh.end()) {
             target = *it;
             ++stats.dedup_hits;
