@@ -47,6 +47,16 @@ StageTimings& StageTimings::operator+=(const StageTimings& other) {
   return *this;
 }
 
+fluid::FluidOptions governed_fluid(const AnalysisOptions& options) {
+  fluid::FluidOptions fluid;
+  fluid.build.max_local_states = options.max_states;
+  fluid.ode.rel_tol = options.fluid_rel_tol;
+  fluid.ode.abs_tol = options.fluid_abs_tol;
+  fluid.ode.t_end = options.fluid_t_end;
+  fluid.ode.budget = options.budget;
+  return fluid;
+}
+
 namespace {
 
 /// Invokes the caller's cooperative cancellation/deadline hook, if any,
@@ -62,19 +72,6 @@ ctmc::SolveOptions governed_solver(const AnalysisOptions& options) {
   ctmc::SolveOptions solver = options.solver;
   if (solver.budget == nullptr) solver.budget = options.budget;
   return solver;
-}
-
-/// The fluid backend's knobs from the analysis options: the ODE tolerance
-/// trio, the state bound reused as the local-derivative-set bound, and the
-/// shared governor.
-fluid::FluidOptions governed_fluid(const AnalysisOptions& options) {
-  fluid::FluidOptions fluid;
-  fluid.build.max_local_states = options.max_states;
-  fluid.ode.rel_tol = options.fluid_rel_tol;
-  fluid.ode.abs_tol = options.fluid_abs_tol;
-  fluid.ode.t_end = options.fluid_t_end;
-  fluid.ode.budget = options.budget;
-  return fluid;
 }
 
 ActivityGraphResult analyse_activity_graph(uml::ActivityGraph& graph,

@@ -16,6 +16,7 @@
 
 #include "choreographer/rates.hpp"
 #include "ctmc/steady_state.hpp"
+#include "fluid/analysis.hpp"
 #include "pepa/statespace.hpp"
 #include "uml/model.hpp"
 #include "xml/dom.hpp"
@@ -141,6 +142,12 @@ struct AnalysisReport {
   /// Present only when the model contains state machines.
   std::vector<StateMachineResult> state_machines;  // 0 or 1 entries
 };
+
+/// The fluid backend's knobs from the analysis options: the ODE tolerance
+/// trio, the state bound reused as the local-derivative-set bound, and the
+/// shared governor.  The pipeline, service::sweep_options and the CLI's
+/// fluid solve all map the options through this one function.
+fluid::FluidOptions governed_fluid(const AnalysisOptions& options);
 
 /// Runs extraction, CTMC solution, measures and reflection on the model in
 /// place (tagged values are added to it).

@@ -21,9 +21,14 @@ std::string cache_key_for_model(const xml::Document& model,
   xml::WriteOptions compact;
   compact.indent = 0;
   compact.declaration = false;
+  std::string key = xml::to_string(model, compact);
+  key += '\n';
+  key += options_key(options);
+  return key;
+}
 
+std::string options_key(const chor::AnalysisOptions& options) {
   std::ostringstream key;
-  key << xml::to_string(model, compact) << '\n';
   key << "solver=" << ctmc::method_name(options.solver.method)
       << " tolerance=" << util::format_double(options.solver.tolerance)
       << " max_iterations=" << options.solver.max_iterations

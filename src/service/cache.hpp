@@ -52,6 +52,11 @@ std::string cache_key(const xml::Document& project,
 std::string cache_key_for_model(const xml::Document& model,
                                 const chor::AnalysisOptions& options);
 
+/// The deterministic rendering of every result-affecting AnalysisOption
+/// that ends every key: a pipeline key appends it to the model XMI, a sweep
+/// point's key to the model's structure and rate fingerprints.
+std::string options_key(const chor::AnalysisOptions& options);
+
 /// 64-bit FNV-1a fingerprint of a key, for display and logs.
 std::uint64_t fingerprint(const std::string& key);
 

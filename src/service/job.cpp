@@ -28,4 +28,21 @@ bool is_terminal(JobStatus status) {
   return false;
 }
 
+sweep::SweepOptions sweep_options(const chor::AnalysisOptions& options) {
+  sweep::SweepOptions result;
+  if (options.aggregation == chor::Aggregation::kFluid) {
+    result.backend = sweep::Backend::kFluid;
+  }
+  result.solver = options.solver;
+  result.derive.max_states = options.max_states;
+  result.derive.aggregate = options.aggregation == chor::Aggregation::kExact;
+  result.derive.threads = options.derive_threads;
+  result.derive.pool = options.derive_pool;
+  result.fluid = chor::governed_fluid(options);
+  result.threads = options.derive_threads;
+  result.pool = options.derive_pool;
+  result.budget = options.budget;
+  return result;
+}
+
 }  // namespace choreo::service

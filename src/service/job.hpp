@@ -1,11 +1,12 @@
 // Analysis jobs: the unit of work of the concurrent analysis service.
 //
 // A JobRequest wraps one Figure-4 pipeline run — a project document (or the
-// path of one) plus AnalysisOptions — and a JobResult carries everything a
-// client needs back: the AnalysisReport, the annotated project XMI as
-// serialised bytes (so repeated runs can be compared byte-for-byte and the
-// cache can replay them), the error string for failed jobs and a timing
-// breakdown of the queue/run/pipeline stages.
+// path of one) plus AnalysisOptions — or, given a sweep spec, a design-space
+// sweep over a PEPA model under the same options.  A JobResult carries
+// everything a client needs back: the AnalysisReport, the annotated project
+// XMI as serialised bytes (so repeated runs can be compared byte-for-byte
+// and the cache can replay them), the error string for failed jobs and a
+// timing breakdown of the queue/run/pipeline stages.
 //
 // Lifecycle (JobStatus):
 //
@@ -43,23 +44,6 @@ const char* to_string(JobStatus status);
 /// True for the four states that end a job's lifecycle.
 bool is_terminal(JobStatus status);
 
-/// A design-space sweep job: evaluate one PEPA model at every point of a
-/// SweepSpec, deriving the state space once (the points share the
-/// rate-stripped structure) and re-solving per point.  Submitted as
-/// JobRequest::sweep; the project/XMI fields of the request are unused.
-struct SweepJobRequest {
-  /// The PEPA source file to sweep.
-  std::string model_path;
-  sweep::SweepSpec spec;
-  sweep::Backend backend = sweep::Backend::kExact;
-  /// Per-point evaluation lanes inside the job; 1 keeps the sweep on the
-  /// job's own worker (the scheduler default, matching derive_threads).
-  std::size_t threads = 1;
-  /// Table serialisation when JobRequest::output_path is set.
-  enum class Format { kCsv, kJson };
-  Format format = Format::kCsv;
-};
-
 struct JobRequest {
   /// Display name used by reports and the batch tool; defaults to the
   /// input path or "<inline>".
@@ -67,19 +51,31 @@ struct JobRequest {
   /// The project document to analyse.  Ignored when `input_path` is set
   /// (the scheduler then parses the file inside the job).
   xml::Document project;
+  /// The XMI project, or the PEPA model of a sweep job.
   std::optional<std::string> input_path;
-  /// When set, the annotated project XMI is also written to this path.
+  /// When set, the annotated project XMI (or a sweep's table: JSON when the
+  /// path ends in `.json`, CSV otherwise) is also written to this path.
   std::optional<std::string> output_path;
   chor::AnalysisOptions options;
   /// Wall-clock budget measured from submission, spanning queue wait,
   /// retries and backoff.  Negative means "use the scheduler default";
   /// 0 disables the deadline.
   double timeout_seconds = -1.0;
-  /// When set, the job is a design-space sweep over a PEPA file instead of
-  /// a Figure-4 pipeline run; `options.solver` and the fluid knobs still
-  /// apply per point, and the result lands in JobResult::sweep.
-  std::optional<SweepJobRequest> sweep;
+  /// When set, the job is a design-space sweep over the PEPA model at
+  /// `input_path` instead of a Figure-4 pipeline run: the state space is
+  /// derived once and re-solved at every point of the spec, under the same
+  /// options (see sweep_options) and the same retry ladder.  The result
+  /// lands in JobResult::sweep.
+  std::optional<sweep::SweepSpec> sweep;
 };
+
+/// The sweep engine's options for a job's analysis options: the backend
+/// follows `aggregation` (none: the full chain, exact: the derived
+/// quotient, fluid: the mean-field ODE), the state bound, solver and
+/// budget carry over, the fluid knobs map as in the pipeline
+/// (chor::governed_fluid), and `derive_threads` sets both the derivation
+/// and the point-evaluation lanes.
+sweep::SweepOptions sweep_options(const chor::AnalysisOptions& options);
 
 struct JobTimings {
   /// Submission to first execution attempt.

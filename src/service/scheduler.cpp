@@ -68,26 +68,31 @@ std::string hex64(std::uint64_t value) {
   return stream.str();
 }
 
-/// The result-affecting options of one sweep point, rendered
-/// deterministically for the per-point cache key.  The model itself is
-/// covered by the structural and rate fingerprints, so two sweeps that
-/// slice the same design space differently still share entries
-/// point-by-point.
-std::string sweep_options_key(const SweepJobRequest& job,
-                              const chor::AnalysisOptions& options) {
-  std::ostringstream key;
-  key << "backend=" << sweep::to_string(job.backend)
-      << " solver=" << ctmc::method_name(options.solver.method)
-      << " tolerance=" << util::format_double(options.solver.tolerance)
-      << " max_iterations=" << options.solver.max_iterations
-      << " relaxation=" << util::format_double(options.solver.relaxation)
-      << " dense_cutoff=" << options.solver.dense_cutoff;
-  if (job.backend == sweep::Backend::kFluid) {
-    key << " fluid_rel_tol=" << util::format_double(options.fluid_rel_tol)
-        << " fluid_abs_tol=" << util::format_double(options.fluid_abs_tol)
-        << " fluid_t_end=" << util::format_double(options.fluid_t_end);
+/// Per sweep point: the one-graph report the cache held for it, if any.
+using CachedPoints = std::vector<std::optional<chor::ActivityGraphResult>>;
+
+/// The points of `spec` that `cached` has no result for, as a zipped spec
+/// over their coordinates (the spec itself when nothing hit), so a partial
+/// miss still derives the state space once.
+sweep::SweepSpec missed_points(const sweep::SweepSpec& spec,
+                               const CachedPoints& cached) {
+  if (std::none_of(cached.begin(), cached.end(),
+                   [](const auto& point) { return point.has_value(); })) {
+    return spec;
   }
-  return key.str();
+  sweep::SweepSpec missed;
+  missed.combine = sweep::Combine::kZip;
+  for (const std::string& name : spec.parameter_names()) {
+    missed.axes.push_back(sweep::Axis{name, {}});
+  }
+  for (std::size_t p = 0; p < cached.size(); ++p) {
+    if (cached[p]) continue;
+    const std::vector<double> values = spec.point(p);
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      missed.axes[a].values.push_back(values[a]);
+    }
+  }
+  return missed;
 }
 
 }  // namespace
@@ -234,8 +239,6 @@ struct Scheduler::Impl {
 
   void run_job(const std::shared_ptr<JobState>& state);
   void execute(const std::shared_ptr<JobState>& state, JobResult& result);
-  void execute_sweep(const std::shared_ptr<JobState>& state,
-                     JobResult& result);
   /// Sleeps `seconds` in small slices, aborting on cancel/deadline.
   void backoff_sleep(const JobState& state, double seconds) const;
   void finish(const std::shared_ptr<JobState>& state, JobResult result);
@@ -297,222 +300,63 @@ void Scheduler::Impl::backoff_sleep(const JobState& state,
   }
 }
 
-void Scheduler::Impl::execute_sweep(const std::shared_ptr<JobState>& state,
-                                    JobResult& result) {
-  const JobRequest& request = state->request;
-  const SweepJobRequest& job = *request.sweep;
-  sweep_jobs_total.increment();
-
-  job.spec.validate();
-  pepa::Model model = pepa::parse_model_file(job.model_path);
-  // Validates sweepability (clean provenance tags) and fingerprints the
-  // rate-stripped structure before any derivation is attempted.
-  sweep::RateRebinder rebinder(model, job.spec.parameter_names());
-
-  sweep::SweepOptions sweep_options;
-  sweep_options.backend = job.backend;
-  sweep_options.solver = request.options.solver;
-  sweep_options.derive.max_states = request.options.max_states;
-  sweep_options.derive.threads = request.options.derive_threads != 0
-                                     ? request.options.derive_threads
-                                     : options.derive_threads;
-  sweep_options.fluid.ode.rel_tol = request.options.fluid_rel_tol;
-  sweep_options.fluid.ode.abs_tol = request.options.fluid_abs_tol;
-  sweep_options.fluid.ode.t_end = request.options.fluid_t_end;
-  sweep_options.threads = job.threads != 0 ? job.threads : 1;
-  sweep_options.budget = &state->budget;
-
-  // Sweep jobs never climb the retry ladder: the backend is the client's
-  // explicit choice, reported in the same field the ladder uses.
-  result.aggregation_used = job.backend == sweep::Backend::kFluid
-                                ? chor::Aggregation::kFluid
-                                : chor::Aggregation::kNone;
-
-  // Per-point cache probe.  Each key pairs the shared structure hash with
-  // the point's rate fingerprint (plus the result-affecting options), so
-  // overlapping sweeps share entries point-by-point however their specs
-  // slice the space.
-  const std::size_t count = job.spec.point_count();
-  std::vector<std::string> keys;
-  std::vector<std::vector<std::pair<std::string, double>>> cached(count);
-  std::vector<char> hit(count, 0);
-  std::size_t hit_count = 0;
-  std::size_t cached_states = 0;
-  std::size_t cached_transitions = 0;
-  if (options.cache != nullptr) {
-    const std::string options_key = sweep_options_key(job, request.options);
-    keys.resize(count);
-    for (std::size_t p = 0; p < count; ++p) {
-      keys[p] = util::msg(
-          "sweep:", hex64(rebinder.structure()), ":",
-          hex64(rebinder.rate_fingerprint(job.spec.point(p))), ":",
-          options_key);
-      std::optional<CachedAnalysis> entry = options.cache->get(keys[p]);
-      if (entry && !entry->report.activity_graphs.empty()) {
-        const chor::ActivityGraphResult& graph =
-            entry->report.activity_graphs.front();
-        cached[p] = graph.throughputs;
-        cached_states = graph.marking_count;
-        cached_transitions = graph.transition_count;
-        hit[p] = 1;
-        ++hit_count;
-      }
-    }
-  }
-
-  sweep::SweepTable table;
-  if (hit_count < count) {
-    // Lazy derivation: only missed points are evaluated.  A partial miss
-    // is re-sliced as a zipped spec over the missing coordinates, so the
-    // state space is still derived at most once per job — and not at all
-    // when every point hits.
-    sweep::SweepSpec eval = job.spec;
-    std::vector<std::size_t> missed;
-    if (hit_count > 0) {
-      missed.reserve(count - hit_count);
-      eval.axes.clear();
-      for (const std::string& name : job.spec.parameter_names()) {
-        eval.axes.push_back(sweep::Axis{name, {}});
-      }
-      eval.combine = sweep::Combine::kZip;
-      for (std::size_t p = 0; p < count; ++p) {
-        if (hit[p]) continue;
-        missed.push_back(p);
-        const std::vector<double> values = job.spec.point(p);
-        for (std::size_t a = 0; a < values.size(); ++a) {
-          eval.axes[a].values.push_back(values[a]);
-        }
-      }
-    }
-    GaugeDelta in_flight_points(
-        sweep_points_in_flight, static_cast<std::int64_t>(count - hit_count));
-    sweep::SweepTable evaluated = sweep::sweep(model, eval, sweep_options);
-    if (hit_count == 0) {
-      table = std::move(evaluated);
-    } else {
-      table.axes = evaluated.axes;
-      table.measures = evaluated.measures;
-      table.structure = evaluated.structure;
-      table.derivations = evaluated.derivations;
-      table.state_count = evaluated.state_count;
-      table.transition_count = evaluated.transition_count;
-      table.derive_stats = evaluated.derive_stats;
-      table.seconds = evaluated.seconds;
-      table.rows.resize(count);
-      for (std::size_t m = 0; m < missed.size(); ++m) {
-        table.rows[missed[m]] = std::move(evaluated.rows[m]);
-      }
-    }
-  } else {
-    // Every point hit: the table is assembled from the cache alone.
-    table.axes = job.spec.parameter_names();
-    for (const auto& [name, value] : cached[0]) table.measures.push_back(name);
-    table.structure = rebinder.structure();
-    table.state_count = cached_states;
-    table.transition_count = cached_transitions;
-    table.rows.resize(count);
-  }
-  for (std::size_t p = 0; p < count; ++p) {
-    if (!hit[p]) continue;
-    sweep::SweepRow& row = table.rows[p];
-    row.values = job.spec.point(p);
-    row.measures.reserve(cached[p].size());
-    for (const auto& [name, value] : cached[p]) row.measures.push_back(value);
-  }
-  table.points_from_cache = hit_count;
-
-  if (options.cache != nullptr) {
-    for (std::size_t p = 0; p < count; ++p) {
-      if (hit[p] || !table.rows[p].ok()) continue;
-      CachedAnalysis entry;
-      chor::ActivityGraphResult graph;
-      graph.graph_name = job.model_path;
-      graph.marking_count = table.state_count;
-      graph.transition_count = table.transition_count;
-      for (std::size_t m = 0; m < table.measures.size(); ++m) {
-        graph.throughputs.emplace_back(table.measures[m],
-                                       table.rows[p].measures[m]);
-      }
-      entry.report.activity_graphs.push_back(std::move(graph));
-      options.cache->put(keys[p], entry);
-    }
-  }
-
-  sweep_points_total.increment(count);
-  sweep_point_cache_hits_total.increment(hit_count);
-  sweep_derivations_total.increment(table.derivations);
-  if (table.derivations > 0) {
-    derive_seconds.observe(table.derive_stats.seconds);
-    explored_states_total.increment(table.derive_stats.dedup_misses);
-    dedup_hits_total.increment(table.derive_stats.dedup_hits);
-    dedup_misses_total.increment(table.derive_stats.dedup_misses);
-    peak_frontier.record_max(
-        static_cast<std::int64_t>(table.derive_stats.peak_frontier));
-    if (table.derive_stats.seconds > 0.0) {
-      explore_rate.observe(
-          static_cast<double>(table.derive_stats.dedup_misses) /
-          table.derive_stats.seconds);
-    }
-  }
-
-  // A one-graph summary so report consumers (the batch table's markings
-  // column, metrics folds) see sweep jobs through the same lens as
-  // pipeline jobs.
-  chor::ActivityGraphResult summary;
-  summary.graph_name = job.model_path;
-  summary.marking_count = table.state_count;
-  summary.transition_count = table.transition_count;
-  summary.timings.derive_stats = table.derive_stats;
-  result.report.activity_graphs.push_back(std::move(summary));
-
-  result.from_cache = hit_count == count;
-  result.attempts = result.from_cache ? 0 : 1;
-  result.status = JobStatus::kDone;
-
-  if (request.output_path) {
-    const std::string rendered = job.format == SweepJobRequest::Format::kJson
-                                     ? table.to_json()
-                                     : table.to_csv();
-    std::ofstream stream(*request.output_path, std::ios::binary);
-    if (!stream || !(stream << rendered) || !stream.flush()) {
-      result.status = JobStatus::kFailed;
-      result.error = util::msg("cannot write sweep table to '",
-                               *request.output_path, "'");
-    }
-  }
-  result.sweep = std::move(table);
-}
-
 void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
                               JobResult& result) {
   const JobRequest& request = state->request;
-  if (request.sweep) {
-    execute_sweep(state, result);
-    return;
-  }
-  const xml::Document project =
-      request.input_path ? xml::parse_file(*request.input_path)
-                         : request.project;
-
-  // The Figure-4 pipeline, opened up so the cache can sit between the
-  // Poseidon pre- and postprocessor: the cache stores the reflected
-  // *model* half, and every requester — hit or miss — gets their own
-  // layout merged back.
-  const uml::SplitProject split = uml::preprocess(project);
-
-  std::string key;
-  xml::Document reflected;
+  ResultCache* const cache = options.cache;
   // Cache hits and failures report the requested level; a successful run
   // overwrites this with the level the winning attempt actually used.
   result.aggregation_used = request.options.aggregation;
-  if (options.cache != nullptr) {
-    key = cache_key_for_model(split.model, request.options);
-    if (std::optional<CachedAnalysis> cached = options.cache->get(key)) {
-      result.report = std::move(cached->report);
-      reflected = std::move(cached->reflected_model);
-      result.from_cache = true;
-      result.attempts = 0;
+
+  // The kind-specific inputs and cache probe.  A pipeline job opens the
+  // Figure-4 pipeline so that the cache sits between the Poseidon pre- and
+  // postprocessor: it keys and stores the reflected *model* half, and
+  // every requester, hit or miss, gets their own layout merged back.  A
+  // sweep job keys each point by the model's rate-stripped structure and
+  // the point's rate fingerprint, so overlapping sweeps share entries
+  // point-by-point however their specs slice the space.
+  std::vector<std::string> keys;  // the project's key, or one per point
+  uml::SplitProject split;
+  xml::Document reflected;
+  std::optional<pepa::Model> sweep_model;
+  CachedPoints cached;  // per point: its cached result, if any
+  sweep::SweepTable table;
+  if (!request.sweep) {
+    split = uml::preprocess(request.input_path
+                                ? xml::parse_file(*request.input_path)
+                                : request.project);
+    if (cache != nullptr) {
+      keys.push_back(cache_key_for_model(split.model, request.options));
+      if (std::optional<CachedAnalysis> hit = cache->get(keys[0])) {
+        result.report = std::move(hit->report);
+        reflected = std::move(hit->reflected_model);
+        result.from_cache = true;
+      }
     }
+  } else {
+    sweep_jobs_total.increment();
+    if (!request.input_path) throw util::Error("a sweep job needs input_path");
+    const sweep::SweepSpec& spec = *request.sweep;
+    spec.validate();
+    sweep_model.emplace(pepa::parse_model_file(*request.input_path));
+    cached.resize(spec.point_count());
+    if (cache != nullptr) {
+      const sweep::RateRebinder rebinder(*sweep_model, spec.parameter_names());
+      table.structure = rebinder.structure();
+      const std::string suffix = options_key(request.options);
+      for (std::size_t p = 0; p < cached.size(); ++p) {
+        keys.push_back(util::msg(
+            "sweep:", hex64(table.structure), ":",
+            hex64(rebinder.rate_fingerprint(spec.point(p))), ":", suffix));
+        std::optional<CachedAnalysis> hit = cache->get(keys[p]);
+        if (hit && !hit->report.activity_graphs.empty()) {
+          cached[p] = std::move(hit->report.activity_graphs.front());
+        }
+      }
+    }
+    result.from_cache =
+        std::all_of(cached.begin(), cached.end(),
+                    [](const auto& point) { return point.has_value(); });
   }
 
   if (!result.from_cache) {
@@ -528,11 +372,25 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     for (std::size_t attempt = 0;; ++attempt) {
       ++result.attempts;
       try {
-        // A failed attempt leaves the model partially annotated, so each
-        // attempt re-reads it from the pristine split document.
-        uml::Model model = uml::from_xmi(split.model);
-        result.report = chor::analyse(model, attempt_options);
-        reflected = uml::to_xmi(model);
+        // The evaluate step, the only other kind-specific part.  A failed
+        // attempt leaves the model partially annotated (or its arena
+        // holding the abandoned derivation's terms), so each retry starts
+        // from a pristine model.
+        if (request.sweep) {
+          if (attempt > 0) {
+            sweep_model.emplace(pepa::parse_model_file(*request.input_path));
+          }
+          const sweep::SweepSpec missed = missed_points(*request.sweep, cached);
+          GaugeDelta in_flight(
+              sweep_points_in_flight,
+              static_cast<std::int64_t>(missed.point_count()));
+          table = sweep::sweep(*sweep_model, missed,
+                               sweep_options(attempt_options));
+        } else {
+          uml::Model model = uml::from_xmi(split.model);
+          result.report = chor::analyse(model, attempt_options);
+          reflected = uml::to_xmi(model);
+        }
         result.aggregation_used = attempt_options.aggregation;
         break;
       } catch (const util::InterruptedError&) {
@@ -563,6 +421,53 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
         return;
       }
     }
+  }
+
+  if (request.sweep) {
+    // Evaluated rows take the missed positions in spec order; cached
+    // points fill the rest (and, when every point hit, the metadata).
+    const sweep::SweepSpec& spec = *request.sweep;
+    std::vector<sweep::SweepRow> rows(cached.size());
+    std::size_t next = 0;
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      if (!cached[p]) {
+        rows[p] = std::move(table.rows[next++]);
+        continue;
+      }
+      rows[p].values = spec.point(p);
+      for (const auto& [name, value] : cached[p]->throughputs) {
+        rows[p].measures.push_back(value);
+      }
+      ++table.points_from_cache;
+    }
+    table.rows = std::move(rows);
+    if (result.from_cache) {
+      table.axes = spec.parameter_names();
+      for (const auto& [name, value] : cached[0]->throughputs) {
+        table.measures.push_back(name);
+      }
+      table.state_count = cached[0]->marking_count;
+      table.transition_count = cached[0]->transition_count;
+    }
+    // A one-graph summary, so report consumers (the batch table's
+    // markings column, the stage fold below) see sweep jobs through the
+    // same lens as pipeline jobs; point evaluation is its solve stage.
+    chor::ActivityGraphResult summary;
+    summary.graph_name = *request.input_path;
+    summary.marking_count = table.state_count;
+    summary.transition_count = table.transition_count;
+    summary.timings.derive_stats = table.derive_stats;
+    summary.timings.solve_seconds = table.seconds - table.derive_stats.seconds;
+    result.report.activity_graphs = {std::move(summary)};
+    sweep_points_total.increment(cached.size());
+    sweep_point_cache_hits_total.increment(table.points_from_cache);
+    sweep_derivations_total.increment(table.derivations);
+  } else {
+    result.annotated_xmi =
+        xml::to_string(uml::postprocess(reflected, split.layout));
+  }
+
+  if (!result.from_cache) {
     for (const auto& graph : result.report.activity_graphs) {
       result.timings.stages += graph.timings;
     }
@@ -598,24 +503,46 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
           static_cast<double>(stages.derive_stats.dedup_misses) /
           stages.derive_seconds());
     }
-    if (options.cache != nullptr) {
-      options.cache->put(key, CachedAnalysis{result.report, reflected});
+    if (cache != nullptr && !request.sweep) {
+      cache->put(keys[0],
+                 CachedAnalysis{result.report, std::move(reflected)});
+    } else if (cache != nullptr) {
+      // Every evaluated point is an entry of its own: a one-graph report
+      // of the point's measures.
+      for (std::size_t p = 0; p < keys.size(); ++p) {
+        if (cached[p] || !table.rows[p].ok()) continue;
+        chor::ActivityGraphResult point;
+        point.graph_name = *request.input_path;
+        point.marking_count = table.state_count;
+        point.transition_count = table.transition_count;
+        for (std::size_t m = 0; m < table.measures.size(); ++m) {
+          point.throughputs.emplace_back(table.measures[m],
+                                         table.rows[p].measures[m]);
+        }
+        CachedAnalysis entry;
+        entry.report.activity_graphs.push_back(std::move(point));
+        cache->put(keys[p], entry);
+      }
     }
   }
 
-  const xml::Document annotated = uml::postprocess(reflected, split.layout);
-  result.annotated_xmi = xml::to_string(annotated);
   result.status = JobStatus::kDone;
-
   if (request.output_path) {
+    std::string table_text;
+    if (request.sweep) {
+      table_text = util::ends_with(*request.output_path, ".json")
+                       ? table.to_json()
+                       : table.to_csv();
+    }
+    const std::string& bytes =
+        request.sweep ? table_text : result.annotated_xmi;
     std::ofstream stream(*request.output_path, std::ios::binary);
-    if (!stream || !(stream << result.annotated_xmi) || !stream.flush()) {
+    if (!stream || !(stream << bytes) || !stream.flush()) {
       result.status = JobStatus::kFailed;
-      result.error =
-          util::msg("cannot write annotated project to '",
-                    *request.output_path, "'");
+      result.error = util::msg("cannot write '", *request.output_path, "'");
     }
   }
+  if (request.sweep) result.sweep = std::move(table);
 }
 
 void Scheduler::Impl::run_job(const std::shared_ptr<JobState>& state) {
@@ -704,9 +631,7 @@ Scheduler::~Scheduler() = default;
 
 JobHandle Scheduler::submit(JobRequest request) {
   if (request.name.empty()) {
-    request.name = request.sweep ? request.sweep->model_path
-                   : request.input_path ? *request.input_path
-                                        : "<inline>";
+    request.name = request.input_path ? *request.input_path : "<inline>";
   }
   auto state = std::make_shared<JobState>();
   state->request = std::move(request);

@@ -1,6 +1,9 @@
-// The concurrent analysis scheduler: many Figure-4 pipeline runs in
-// flight at once, against one worker pool, one bounded queue and one
-// content-addressed result cache.
+// The concurrent analysis scheduler: many Figure-4 pipeline runs and
+// design-space sweeps in flight at once, against one worker pool, one
+// bounded queue and one content-addressed result cache.  Both job kinds
+// take the same path: cache probe, attempts down the retry ladder, stage
+// fold into the metrics, cache fill and output write; only the probe and
+// the evaluate step differ.
 //
 //   Scheduler scheduler({.workers = 4, .cache = &cache});
 //   JobHandle handle = scheduler.submit(request);   // blocks when full
@@ -29,7 +32,8 @@
 //    finally succeeded is recorded in JobResult::aggregation_used.
 //  - Results of successful runs are stored in the cache (when one is
 //    attached); an incoming job whose canonical key hits returns the
-//    cached result byte-for-byte without touching the pipeline.
+//    cached result byte-for-byte without touching the pipeline.  A sweep
+//    keys each point and evaluates only the points that missed.
 //
 // The destructor drains: queued jobs still run (or resolve as cancelled /
 // timed out) before the workers join, so every JobHandle is eventually

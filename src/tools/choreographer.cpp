@@ -109,15 +109,6 @@ void print_report(const chor::AnalysisReport& report) {
   }
 }
 
-fluid::OdeOptions ode_options(const Job& job, util::Budget* budget) {
-  fluid::OdeOptions options;
-  options.rel_tol = job.analysis.fluid_rel_tol;
-  options.abs_tol = job.analysis.fluid_abs_tol;
-  options.t_end = job.analysis.fluid_t_end;
-  options.budget = budget;
-  return options;
-}
-
 int run_project(const Job& job, util::Budget* budget) {
   chor::AnalysisOptions options = job.analysis;
   options.derive_threads = job.threads;
@@ -164,17 +155,11 @@ int run_project(const Job& job, util::Budget* budget) {
 int run_sweep(const Job& job, const std::string& source,
               util::Budget* budget) {
   pepa::Model model = pepa::parse_model(source, job.input);
-  sweep::SweepOptions options;
-  const chor::Aggregation level = job.analysis.aggregation;
-  options.backend = level == chor::Aggregation::kFluid ? sweep::Backend::kFluid
-                                                       : sweep::Backend::kExact;
-  options.derive.aggregate = level == chor::Aggregation::kExact;
-  options.solver = job.analysis.solver;
-  options.derive.threads = job.threads;
-  options.threads = job.threads;
-  options.fluid.ode = ode_options(job, budget);
+  chor::AnalysisOptions options = job.analysis;
+  options.derive_threads = job.threads;
   options.budget = budget;
-  const sweep::SweepTable table = sweep::sweep(model, job.sweep, options);
+  const sweep::SweepTable table =
+      sweep::sweep(model, job.sweep, service::sweep_options(options));
   std::cerr << "sweep: " << table.rows.size() << " point(s), "
             << table.derivations << " derivation(s), " << table.state_count
             << " shared states, "
@@ -201,10 +186,10 @@ int run_fluid(const Job& job, const std::string& source,
               util::Budget* budget) {
   pepa::Model model = pepa::parse_model(source, job.input);
   pepa::Semantics semantics(model.arena());
-  fluid::FluidOptions options;
-  options.ode = ode_options(job, budget);
-  const fluid::FluidResult result =
-      fluid::solve_steady(semantics, model.system(), options);
+  chor::AnalysisOptions options = job.analysis;
+  options.budget = budget;
+  const fluid::FluidResult result = fluid::solve_steady(
+      semantics, model.system(), chor::governed_fluid(options));
   std::cout << "fluid steady state: " << result.stats.steps
             << " ODE step(s) to t = " << result.stats.end_time << "\n\n";
   Throughputs throughputs;
@@ -426,21 +411,9 @@ service::JobRequest to_request(const Job& job) {
       job.threads != 0 ? job.threads
                        : util::ThreadPool::shared().worker_count() + 1;
   request.timeout_seconds = job.timeout_seconds;
+  request.input_path = job.input;
   if (!job.output.empty()) request.output_path = job.output;
-  if (job.sweep.axes.empty()) {
-    request.input_path = job.input;
-    return request;
-  }
-  service::SweepJobRequest& sweep = request.sweep.emplace();
-  sweep.model_path = job.input;
-  sweep.spec = job.sweep;
-  sweep.threads = request.options.derive_threads;
-  if (job.analysis.aggregation == chor::Aggregation::kFluid) {
-    sweep.backend = sweep::Backend::kFluid;
-  }
-  if (util::ends_with(job.output, ".json")) {
-    sweep.format = service::SweepJobRequest::Format::kJson;
-  }
+  if (!job.sweep.axes.empty()) request.sweep = job.sweep;
   return request;
 }
 

@@ -2,6 +2,7 @@
 // provenance, structure-sharing rebind correctness against independent
 // re-derivation, derive-once accounting, and thread-count determinism.
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -415,9 +416,9 @@ TEST(SweepService, SchedulerDerivesOnceAndServesRepeatsFromCache) {
   service::Scheduler scheduler(scheduler_options);
 
   service::JobRequest request;
+  request.input_path = path;
   request.sweep.emplace();
-  request.sweep->model_path = path;
-  request.sweep->spec.axes = {sweep::Axis::linear("locs", 5.0, 100.0, 10)};
+  request.sweep->axes = {sweep::Axis::linear("locs", 5.0, 100.0, 10)};
 
   const service::JobResult first = scheduler.submit(request).wait();
   ASSERT_EQ(first.status, service::JobStatus::kDone) << first.error;
@@ -480,19 +481,18 @@ TEST(SweepService, OverlappingSweepsSharePointsThroughTheCache) {
   service::Scheduler scheduler(scheduler_options);
 
   service::JobRequest first_request;
+  first_request.input_path = path;
   first_request.sweep.emplace();
-  first_request.sweep->model_path = path;
-  first_request.sweep->spec.axes = {
-      sweep::Axis::list("locs", {10.0, 20.0, 30.0})};
+  first_request.sweep->axes = {sweep::Axis::list("locs", {10.0, 20.0, 30.0})};
   const service::JobResult first = scheduler.submit(first_request).wait();
   ASSERT_EQ(first.status, service::JobStatus::kDone) << first.error;
 
   // A different slice of the same design space: the two shared points hit,
   // only the two new ones are evaluated (against one fresh derivation).
   service::JobRequest second_request;
+  second_request.input_path = path;
   second_request.sweep.emplace();
-  second_request.sweep->model_path = path;
-  second_request.sweep->spec.axes = {
+  second_request.sweep->axes = {
       sweep::Axis::list("locs", {20.0, 30.0, 40.0, 50.0})};
   const service::JobResult second = scheduler.submit(second_request).wait();
   ASSERT_EQ(second.status, service::JobStatus::kDone) << second.error;
@@ -529,10 +529,10 @@ TEST(SweepService, FluidSweepJobReportsFluidAggregation) {
   service::Scheduler scheduler(scheduler_options);
 
   service::JobRequest request;
+  request.input_path = path;
   request.sweep.emplace();
-  request.sweep->model_path = path;
-  request.sweep->backend = sweep::Backend::kFluid;
-  request.sweep->spec.axes = {sweep::Axis::list("r", {0.5, 1.0, 2.0})};
+  request.options.aggregation = chor::Aggregation::kFluid;
+  request.sweep->axes = {sweep::Axis::list("r", {0.5, 1.0, 2.0})};
   const service::JobResult result = scheduler.submit(request).wait();
   ASSERT_EQ(result.status, service::JobStatus::kDone) << result.error;
   EXPECT_EQ(result.aggregation_used, chor::Aggregation::kFluid);
@@ -553,9 +553,9 @@ TEST(SweepService, SweepJobWritesTheTableToTheOutputPath) {
   service::Scheduler scheduler({.workers = 1});
   service::JobRequest request;
   request.output_path = table_path;
+  request.input_path = model_path;
   request.sweep.emplace();
-  request.sweep->model_path = model_path;
-  request.sweep->spec.axes = {sweep::Axis::list("locs", {10.0, 40.0})};
+  request.sweep->axes = {sweep::Axis::list("locs", {10.0, 40.0})};
   const service::JobResult result = scheduler.submit(request).wait();
   ASSERT_EQ(result.status, service::JobStatus::kDone) << result.error;
 
@@ -564,6 +564,137 @@ TEST(SweepService, SweepJobWritesTheTableToTheOutputPath) {
   std::string line;
   ASSERT_TRUE(std::getline(stream, line));
   EXPECT_EQ(line.find("# structure=0x"), 0u);
+}
+
+// Four replicas of a two-state component: 16 states in the full chain, 5
+// count vectors in the Ding & Hillston quotient.
+constexpr const char* kReplicated =
+    "r = 1.0; s = 2.0;\n"
+    "P = (a, r).Q;\n"
+    "Q = (b, s).P;\n"
+    "System = P || P || P || P;\n"
+    "@system System;\n";
+
+service::JobRequest replicated_sweep(const std::string& path,
+                                     chor::Aggregation aggregation) {
+  service::JobRequest request;
+  request.input_path = path;
+  request.options.aggregation = aggregation;
+  request.sweep.emplace();
+  request.sweep->axes = {sweep::Axis::list("r", {1.0, 2.0})};
+  return request;
+}
+
+TEST(SweepService, ExactAggregationDerivesTheQuotient) {
+  const std::string path =
+      write_temp_model("sweep_service_exact.pepa", kReplicated);
+  service::Registry registry;
+  service::Scheduler scheduler({.workers = 1, .registry = &registry});
+  const service::JobResult result =
+      scheduler.submit(replicated_sweep(path, chor::Aggregation::kExact))
+          .wait();
+  ASSERT_EQ(result.status, service::JobStatus::kDone) << result.error;
+  ASSERT_TRUE(result.sweep.has_value());
+  EXPECT_EQ(result.sweep->state_count, 5u);
+  EXPECT_EQ(result.aggregation_used, chor::Aggregation::kExact);
+
+  // Bit-equal to the engine run directly on the quotient.
+  pepa::Model model = pepa::parse_model(kReplicated);
+  sweep::SweepOptions options;
+  options.derive.aggregate = true;
+  const sweep::SweepTable direct =
+      sweep::sweep(model, *replicated_sweep(path, {}).sweep, options);
+  ASSERT_EQ(result.sweep->rows.size(), direct.rows.size());
+  for (std::size_t r = 0; r < direct.rows.size(); ++r) {
+    ASSERT_TRUE(result.sweep->rows[r].ok()) << result.sweep->rows[r].error;
+    EXPECT_EQ(result.sweep->rows[r].measures, direct.rows[r].measures);
+  }
+}
+
+TEST(SweepService, PointCacheSeparatesAggregationLevels) {
+  const std::string path =
+      write_temp_model("sweep_service_levels.pepa", kReplicated);
+  service::Registry registry;
+  service::ResultCache cache({.registry = &registry});
+  service::Scheduler scheduler(
+      {.workers = 1, .cache = &cache, .registry = &registry});
+
+  const service::JobResult full =
+      scheduler.submit(replicated_sweep(path, chor::Aggregation::kNone))
+          .wait();
+  ASSERT_EQ(full.status, service::JobStatus::kDone) << full.error;
+  EXPECT_EQ(full.sweep->state_count, 16u);
+
+  // The same points at the exact level are misses: the quotient is derived.
+  const service::JobResult exact =
+      scheduler.submit(replicated_sweep(path, chor::Aggregation::kExact))
+          .wait();
+  ASSERT_EQ(exact.status, service::JobStatus::kDone) << exact.error;
+  EXPECT_EQ(exact.sweep->state_count, 5u);
+  EXPECT_EQ(exact.sweep->derivations, 1u);
+  EXPECT_EQ(exact.sweep->points_from_cache, 0u);
+
+  // And the full-chain entries are still there.
+  const service::JobResult again =
+      scheduler.submit(replicated_sweep(path, chor::Aggregation::kNone))
+          .wait();
+  ASSERT_EQ(again.status, service::JobStatus::kDone) << again.error;
+  EXPECT_TRUE(again.from_cache);
+  EXPECT_EQ(again.sweep->points_from_cache, 2u);
+  EXPECT_EQ(again.sweep->state_count, 16u);
+}
+
+TEST(SweepService, SweepJobsReportStageTimingsAndMetrics) {
+  const std::string path =
+      write_temp_model("sweep_service_stages.pepa", tomcat_source(40.0));
+  service::Registry registry;
+  service::ResultCache cache({.registry = &registry});
+  service::Scheduler scheduler(
+      {.workers = 1, .cache = &cache, .registry = &registry});
+  const service::Histogram& derive_seconds =
+      registry.histogram("choreo_stage_derive_seconds", "");
+  service::JobRequest request;
+  request.input_path = path;
+  request.sweep.emplace();
+  request.sweep->axes = {sweep::Axis::list("locs", {10.0, 40.0})};
+
+  const std::uint64_t before = derive_seconds.count();
+  const service::JobResult first = scheduler.submit(request).wait();
+  ASSERT_EQ(first.status, service::JobStatus::kDone) << first.error;
+  ASSERT_EQ(first.sweep->derivations, 1u);
+  EXPECT_EQ(first.timings.stages.derive_stats.dedup_misses,
+            first.sweep->state_count);
+  EXPECT_GT(first.timings.stages.derive_seconds(), 0.0);
+  EXPECT_EQ(derive_seconds.count(), before + 1);
+
+  // An all-hit repeat derives nothing and observes nothing.
+  const service::JobResult second = scheduler.submit(request).wait();
+  ASSERT_EQ(second.status, service::JobStatus::kDone) << second.error;
+  EXPECT_TRUE(second.from_cache);
+  EXPECT_EQ(derive_seconds.count(), before + 1);
+}
+
+TEST(SweepService, SweepJobsJoinTheRetryLadder) {
+  const std::string path =
+      write_temp_model("sweep_service_retry.pepa", kReplicated);
+  service::Registry registry;
+  service::Scheduler scheduler({.workers = 1,
+                                .max_retries = 1,
+                                .retry_backoff_seconds = 0.001,
+                                .registry = &registry});
+  // Below the full chain's 16 states, above the quotient's 5.
+  service::JobRequest request =
+      replicated_sweep(path, chor::Aggregation::kNone);
+  request.options.max_states = 10;
+  const service::JobResult result = scheduler.submit(request).wait();
+  ASSERT_EQ(result.status, service::JobStatus::kDone) << result.error;
+  EXPECT_EQ(result.attempts, 2u);
+  EXPECT_EQ(result.aggregation_used, chor::Aggregation::kExact);
+  EXPECT_EQ(registry.counter("choreo_job_retries_total", "").value(), 1u);
+  ASSERT_TRUE(result.sweep.has_value());
+  for (const sweep::SweepRow& row : result.sweep->rows) {
+    EXPECT_TRUE(row.ok()) << row.error;
+  }
 }
 
 }  // namespace
