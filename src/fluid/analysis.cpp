@@ -1,6 +1,7 @@
 #include "fluid/analysis.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -8,8 +9,13 @@ namespace choreo::fluid {
 
 FluidResult solve_steady(pepa::Semantics& semantics, pepa::ProcessId system,
                          const FluidOptions& options) {
+  return solve_steady(VectorForm::build(semantics, system, options.build),
+                      options);
+}
+
+FluidResult solve_steady(VectorForm built, const FluidOptions& options) {
   FluidResult result;
-  result.form = VectorForm::build(semantics, system, options.build);
+  result.form = std::move(built);
 
   OdeOptions ode = options.ode;
   const VectorForm& form = result.form;

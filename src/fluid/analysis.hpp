@@ -39,4 +39,8 @@ struct FluidResult {
 FluidResult solve_steady(pepa::Semantics& semantics, pepa::ProcessId system,
                          const FluidOptions& options = {});
 
+/// As above over an already built vector form (`options.build` unused):
+/// the model at other rates is a copy with VectorForm::set_local_rates.
+FluidResult solve_steady(VectorForm form, const FluidOptions& options = {});
+
 }  // namespace choreo::fluid

@@ -1,174 +1,49 @@
 #include "pepa/semantics.hpp"
 
-#include <algorithm>
-
-#include "util/error.hpp"
-
 namespace choreo::pepa {
 
-namespace {
+/// The SOS walk that interns derivative targets, re-entering through the
+/// striped caches.
+struct Semantics::Walk {
+  using Target = ProcessId;
 
-std::uint64_t apparent_key(ProcessId process, ActionId action) {
-  return (static_cast<std::uint64_t>(process) << 32) | action;
-}
+  Semantics& semantics;
 
-/// The stack of constants currently being expanded, for unguarded-recursion
-/// detection.  One stack per thread: exploration workers recurse through the
-/// shared Semantics concurrently, and the stack is empty between top-level
-/// calls, so a thread_local is exactly the per-call-tree state needed.
-thread_local std::vector<ConstantId> t_expanding;
-
-/// Exception-safe push/pop on the per-thread expansion stack.
-struct ExpandingGuard {
-  explicit ExpandingGuard(ConstantId id) { t_expanding.push_back(id); }
-  ~ExpandingGuard() { t_expanding.pop_back(); }
+  const ProcessArena& arena() const { return semantics.arena_; }
+  /// A copy: interning targets may grow the arena under a reference.
+  ProcessNode node(ProcessId id) const { return semantics.arena_.node(id); }
+  static Rate rate(ProcessId, const ProcessNode& node) { return node.rate; }
+  static ProcessId target(ProcessId id) { return id; }
+  ProcessId hide(ProcessId target, const std::vector<ActionId>& set) {
+    return semantics.arena_.hiding(target, set);
+  }
+  ProcessId cooperate(ProcessId left, const std::vector<ActionId>& set,
+                      ProcessId right) {
+    return semantics.arena_.cooperation(left, set, right);
+  }
+  const std::vector<Derivative>& derivatives(ProcessId id) {
+    return semantics.derivatives(id);
+  }
+  Rate apparent(ProcessId id, ActionId action) {
+    return semantics.apparent_rate(id, action);
+  }
 };
 
-bool currently_expanding(ConstantId id) {
-  return std::find(t_expanding.begin(), t_expanding.end(), id) !=
-         t_expanding.end();
-}
-
-}  // namespace
-
 Rate Semantics::apparent_rate(ProcessId process, ActionId action) {
-  const std::uint64_t key = apparent_key(process, action);
+  const std::uint64_t key = (static_cast<std::uint64_t>(process) << 32) | action;
   if (const Rate* hit = apparent_cache_.find(key)) return *hit;
-  const Rate rate = compute_apparent(process, action);
+  Walk walk{*this};
+  const Rate rate = sos::apparent(walk, process, action);
   return *apparent_cache_.try_emplace(key, rate).first;
-}
-
-Rate Semantics::compute_apparent(ProcessId process, ActionId action) {
-  const ProcessNode node = arena_.node(process);  // copy: arena may grow
-  switch (node.op) {
-    case Op::kStop:
-      return Rate();
-    case Op::kPrefix:
-      return node.action == action ? node.rate : Rate();
-    case Op::kChoice:
-      return apparent_rate(node.left, action)
-          .plus(apparent_rate(node.right, action), arena_.action_name(action));
-    case Op::kHiding:
-      // Activities of a hidden type appear as tau; their original type has
-      // apparent rate zero.  tau itself aggregates the hidden activities.
-      if (action == kTau) {
-        Rate sum = apparent_rate(node.left, kTau);
-        for (ActionId hidden : node.action_set) {
-          sum = sum.plus(apparent_rate(node.left, hidden), "tau");
-        }
-        return sum;
-      }
-      if (set_contains(node.action_set, action)) return Rate();
-      return apparent_rate(node.left, action);
-    case Op::kCooperation: {
-      const Rate left = apparent_rate(node.left, action);
-      const Rate right = apparent_rate(node.right, action);
-      if (action != kTau && set_contains(node.action_set, action)) {
-        return Rate::min(left, right);
-      }
-      return left.plus(right, arena_.action_name(action));
-    }
-    case Op::kConstant: {
-      if (currently_expanding(node.constant)) {
-        throw util::ModelError(
-            util::msg("unguarded recursion through constant '",
-                      arena_.constant_name(node.constant), "'"));
-      }
-      ExpandingGuard guard(node.constant);
-      return apparent_rate(arena_.body(node.constant), action);
-    }
-  }
-  CHOREO_ASSERT(false);
-  return Rate();
 }
 
 const std::vector<Derivative>& Semantics::derivatives(ProcessId process) {
   if (const std::vector<Derivative>* hit = derivative_cache_.find(process)) {
     return *hit;
   }
-  std::vector<Derivative> computed = compute_derivatives(process);
+  Walk walk{*this};
+  std::vector<Derivative> computed = sos::derivatives(walk, process);
   return *derivative_cache_.try_emplace(process, std::move(computed)).first;
-}
-
-std::vector<Derivative> Semantics::compute_derivatives(ProcessId process) {
-  const ProcessNode node = arena_.node(process);  // copy: arena may grow
-  std::vector<Derivative> out;
-  switch (node.op) {
-    case Op::kStop:
-      return out;
-    case Op::kPrefix:
-      out.push_back({node.action, node.rate, node.left});
-      return out;
-    case Op::kChoice: {
-      // Copies: computing the right list may invalidate a reference into the
-      // cache obtained for the left list.
-      const std::vector<Derivative> left = derivatives(node.left);
-      const std::vector<Derivative> right = derivatives(node.right);
-      out = left;
-      out.insert(out.end(), right.begin(), right.end());
-      return out;
-    }
-    case Op::kHiding: {
-      const std::vector<Derivative> inner = derivatives(node.left);
-      out.reserve(inner.size());
-      for (const Derivative& d : inner) {
-        const ActionId action =
-            set_contains(node.action_set, d.action) ? kTau : d.action;
-        out.push_back({action, d.rate, arena_.hiding(d.target, node.action_set)});
-      }
-      return out;
-    }
-    case Op::kCooperation: {
-      const std::vector<Derivative> left = derivatives(node.left);
-      const std::vector<Derivative> right = derivatives(node.right);
-      // Independent moves (action outside the cooperation set; tau is never
-      // in the set).
-      for (const Derivative& d : left) {
-        if (set_contains(node.action_set, d.action)) continue;
-        out.push_back(
-            {d.action, d.rate,
-             arena_.cooperation(d.target, node.action_set, node.right)});
-      }
-      for (const Derivative& d : right) {
-        if (set_contains(node.action_set, d.action)) continue;
-        out.push_back(
-            {d.action, d.rate,
-             arena_.cooperation(node.left, node.action_set, d.target)});
-      }
-      // Shared moves: each pair of co-operating activities, scaled by the
-      // apparent-rate law.
-      for (ActionId shared : node.action_set) {
-        const Rate apparent_left = apparent_rate(node.left, shared);
-        const Rate apparent_right = apparent_rate(node.right, shared);
-        if (apparent_left.is_zero() || apparent_right.is_zero()) continue;
-        for (const Derivative& dl : left) {
-          if (dl.action != shared) continue;
-          for (const Derivative& dr : right) {
-            if (dr.action != shared) continue;
-            const Rate rate =
-                cooperation_rate(dl.rate, apparent_left, dr.rate, apparent_right,
-                                 arena_.action_name(shared));
-            out.push_back(
-                {shared, rate,
-                 arena_.cooperation(dl.target, node.action_set, dr.target)});
-          }
-        }
-      }
-      return out;
-    }
-    case Op::kConstant: {
-      if (currently_expanding(node.constant)) {
-        throw util::ModelError(
-            util::msg("unguarded recursion through constant '",
-                      arena_.constant_name(node.constant), "'"));
-      }
-      ExpandingGuard guard(node.constant);
-      out = derivatives(arena_.body(node.constant));
-      return out;
-    }
-  }
-  CHOREO_ASSERT(false);
-  return out;
 }
 
 }  // namespace choreo::pepa

@@ -1,7 +1,9 @@
-// Structured operational semantics of PEPA.
+// Structured operational semantics of PEPA over interned terms.
 //
-// Provides memoised apparent rates r_alpha(P) and one-step derivatives.
-// Because terms are hash-consed, both caches are keyed by node id and every
+// Provides memoised apparent rates r_alpha(P) and one-step derivatives with
+// their target terms: the instantiation of the SOS rules of pepa/sos.hpp
+// that interns every derivative target into the arena.  Because terms are
+// hash-consed, both caches are keyed by node id and every
 // semantically-identical subterm is evaluated once, which is what makes
 // state-space derivation of cooperating replicas tractable.
 //
@@ -21,16 +23,13 @@
 #include <vector>
 
 #include "pepa/ast.hpp"
+#include "pepa/sos.hpp"
 #include "util/striped_map.hpp"
 
 namespace choreo::pepa {
 
-/// One enabled activity of a process term.
-struct Derivative {
-  ActionId action;
-  Rate rate;
-  ProcessId target;
-};
+/// One enabled activity of a process term: action, rate and target term.
+using Derivative = sos::Move<ProcessId>;
 
 class Semantics {
  public:
@@ -51,8 +50,7 @@ class Semantics {
   const std::vector<Derivative>& derivatives(ProcessId process);
 
  private:
-  std::vector<Derivative> compute_derivatives(ProcessId process);
-  Rate compute_apparent(ProcessId process, ActionId action);
+  struct Walk;
 
   ProcessArena& arena_;
   util::StripedMap<std::uint64_t, Rate> apparent_cache_;

@@ -311,6 +311,11 @@ std::vector<double> VectorForm::local_rates() const {
   return rates;
 }
 
+void VectorForm::set_local_rates(std::span<const double> rates) {
+  CHOREO_ASSERT(rates.size() == transitions_.size());
+  for (std::size_t i = 0; i < rates.size(); ++i) transitions_[i].rate = rates[i];
+}
+
 /// The count-vector walks over the cooperation tree: move enumeration,
 /// representative terms and term matching.
 struct VectorForm::Walker {

@@ -133,6 +133,11 @@ class VectorForm {
   /// Every local transition's own rate, in transitions() order.
   std::vector<double> local_rates() const;
 
+  /// Overwrites every local transition's rate with `rates` (one per
+  /// transitions() entry, active/passive kinds unchanged): the form of the
+  /// same model at other rate values, e.g. a sweep point's.
+  void set_local_rates(std::span<const double> rates);
+
   /// A representative term of `counts`: the system equation with every
   /// counted group unfolded into its replicas (balanced over the empty
   /// set).  Interns into the model's arena.

@@ -37,6 +37,9 @@ namespace choreo::service {
 struct CachedAnalysis {
   chor::AnalysisReport report;
   xml::Document reflected_model;
+  /// The aggregation level that produced the report: deeper than the level
+  /// in the entry's key when the retry ladder descended.
+  chor::Aggregation aggregation = chor::Aggregation::kNone;
 };
 
 /// The canonical cache key of a (project, options) pair: the layout-

@@ -106,8 +106,9 @@ struct JobResult {
   std::size_t attempts = 0;
   /// Aggregation level of the attempt that produced the report — deeper
   /// than the request's own level when the retry ladder downgraded the
-  /// job (kNone -> kExact -> kFluid).  Cache hits report the requested
-  /// level (the cache key includes it, so they always match).
+  /// job (kNone -> kExact -> kFluid).  Cache entries are keyed by the
+  /// requested level but store the producing one, which a hit reports; a
+  /// sweep reports the deepest level among its evaluated and cached points.
   chor::Aggregation aggregation_used = chor::Aggregation::kNone;
   /// Whether the result was served from the content-addressed cache.  A
   /// sweep job sets this only when *every* point was a cache hit; partial

@@ -68,8 +68,8 @@ std::string hex64(std::uint64_t value) {
   return stream.str();
 }
 
-/// Per sweep point: the one-graph report the cache held for it, if any.
-using CachedPoints = std::vector<std::optional<chor::ActivityGraphResult>>;
+/// Per sweep point: the one-graph entry the cache held for it, if any.
+using CachedPoints = std::vector<std::optional<CachedAnalysis>>;
 
 /// The points of `spec` that `cached` has no result for, as a zipped spec
 /// over their coordinates (the spec itself when nothing hit), so a partial
@@ -304,8 +304,9 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
                               JobResult& result) {
   const JobRequest& request = state->request;
   ResultCache* const cache = options.cache;
-  // Cache hits and failures report the requested level; a successful run
-  // overwrites this with the level the winning attempt actually used.
+  // Failures report the requested level; a successful run overwrites this
+  // with the level the winning attempt actually used, a cache hit with the
+  // level stored alongside the entry.
   result.aggregation_used = request.options.aggregation;
 
   // The kind-specific inputs and cache probe.  A pipeline job opens the
@@ -330,6 +331,7 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
       if (std::optional<CachedAnalysis> hit = cache->get(keys[0])) {
         result.report = std::move(hit->report);
         reflected = std::move(hit->reflected_model);
+        result.aggregation_used = hit->aggregation;
         result.from_cache = true;
       }
     }
@@ -350,7 +352,7 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
             hex64(rebinder.rate_fingerprint(spec.point(p))), ":", suffix));
         std::optional<CachedAnalysis> hit = cache->get(keys[p]);
         if (hit && !hit->report.activity_graphs.empty()) {
-          cached[p] = std::move(hit->report.activity_graphs.front());
+          cached[p] = std::move(hit);
         }
       }
     }
@@ -425,7 +427,8 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
 
   if (request.sweep) {
     // Evaluated rows take the missed positions in spec order; cached
-    // points fill the rest (and, when every point hit, the metadata).
+    // points fill the rest (and, when every point hit, the metadata).  The
+    // job reports the deepest level any of its rows was produced at.
     const sweep::SweepSpec& spec = *request.sweep;
     std::vector<sweep::SweepRow> rows(cached.size());
     std::size_t next = 0;
@@ -435,19 +438,22 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
         continue;
       }
       rows[p].values = spec.point(p);
-      for (const auto& [name, value] : cached[p]->throughputs) {
+      for (const auto& [name, value] :
+           cached[p]->report.activity_graphs.front().throughputs) {
         rows[p].measures.push_back(value);
       }
       ++table.points_from_cache;
     }
     table.rows = std::move(rows);
     if (result.from_cache) {
+      const chor::ActivityGraphResult& first =
+          cached[0]->report.activity_graphs.front();
       table.axes = spec.parameter_names();
-      for (const auto& [name, value] : cached[0]->throughputs) {
+      for (const auto& [name, value] : first.throughputs) {
         table.measures.push_back(name);
       }
-      table.state_count = cached[0]->marking_count;
-      table.transition_count = cached[0]->transition_count;
+      table.state_count = first.marking_count;
+      table.transition_count = first.transition_count;
     }
     // A one-graph summary, so report consumers (the batch table's
     // markings column, the stage fold below) see sweep jobs through the
@@ -504,8 +510,8 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
           stages.derive_seconds());
     }
     if (cache != nullptr && !request.sweep) {
-      cache->put(keys[0],
-                 CachedAnalysis{result.report, std::move(reflected)});
+      cache->put(keys[0], CachedAnalysis{result.report, std::move(reflected),
+                                         result.aggregation_used});
     } else if (cache != nullptr) {
       // Every evaluated point is an entry of its own: a one-graph report
       // of the point's measures.
@@ -521,8 +527,15 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
         }
         CachedAnalysis entry;
         entry.report.activity_graphs.push_back(std::move(point));
+        entry.aggregation = result.aggregation_used;
         cache->put(keys[p], entry);
       }
+    }
+  }
+  for (const std::optional<CachedAnalysis>& point : cached) {
+    if (point) {
+      result.aggregation_used =
+          std::max(result.aggregation_used, point->aggregation);
     }
   }
 

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 
 #include "util/error.hpp"
@@ -123,40 +122,6 @@ class Fingerprinter {
   std::uint64_t hash_ = kFnvOffset;
 };
 
-/// Collects what one constant body contains: a swept prefix (directly) and
-/// references to other constants.
-struct BodyScan {
-  bool swept = false;
-  std::vector<pepa::ConstantId> refs;
-};
-
-void scan_body(const pepa::ProcessArena& arena, pepa::ProcessId id,
-               const std::unordered_map<pepa::ProcessId,
-                                        std::pair<std::size_t, double>>& swept,
-               std::unordered_set<pepa::ProcessId>& visited, BodyScan& out) {
-  if (!visited.insert(id).second) return;
-  const pepa::ProcessNode& node = arena.node(id);
-  switch (node.op) {
-    case pepa::Op::kStop:
-      break;
-    case pepa::Op::kPrefix:
-      if (swept.count(id) != 0) out.swept = true;
-      scan_body(arena, node.left, swept, visited, out);
-      break;
-    case pepa::Op::kChoice:
-    case pepa::Op::kCooperation:
-      scan_body(arena, node.left, swept, visited, out);
-      scan_body(arena, node.right, swept, visited, out);
-      break;
-    case pepa::Op::kHiding:
-      scan_body(arena, node.left, swept, visited, out);
-      break;
-    case pepa::Op::kConstant:
-      out.refs.push_back(node.constant);
-      break;
-  }
-}
-
 }  // namespace
 
 std::uint64_t structure_fingerprint(pepa::Model& model) {
@@ -199,35 +164,6 @@ RateRebinder::RateRebinder(pepa::Model& model,
     }
   }
   structure_ = structure_fingerprint(model_);
-
-  // Which constants' definitions (transitively) contain a swept prefix:
-  // only those need fresh per-point declarations; everything else is shared
-  // between the base model and every point.
-  const pepa::ProcessArena& arena = model_.arena();
-  const std::size_t constants = arena.constant_count();
-  constant_affected_.assign(constants, 0);
-  std::vector<std::vector<pepa::ConstantId>> refs(constants);
-  for (pepa::ConstantId id = 0; id < constants; ++id) {
-    if (!arena.is_defined(id)) continue;
-    BodyScan scan;
-    std::unordered_set<pepa::ProcessId> visited;
-    scan_body(arena, arena.body(id), swept_, visited, scan);
-    constant_affected_[id] = scan.swept ? 1 : 0;
-    refs[id] = std::move(scan.refs);
-  }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (pepa::ConstantId id = 0; id < constants; ++id) {
-      if (constant_affected_[id] != 0) continue;
-      for (const pepa::ConstantId ref : refs[id]) {
-        if (ref < constants && constant_affected_[ref] != 0) {
-          constant_affected_[id] = 1;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
 }
 
 std::uint64_t RateRebinder::rate_fingerprint(
@@ -257,25 +193,53 @@ RateRebinder::Point RateRebinder::at(std::span<const double> values) {
   return Point(*this, std::vector<double>(values.begin(), values.end()));
 }
 
-RateRebinder::Point::Point(RateRebinder& owner, std::vector<double> values)
+/// The SOS walk of one sweep point: base terms, substituted prefix rates,
+/// no targets, re-entering through the point's memo.  The arena is only
+/// read, so nodes are read in place.
+struct RateRebinder::Point::Walk {
+  using Target = pepa::sos::NoTarget;
+
+  Point& point;
+
+  const pepa::ProcessArena& arena() const {
+    return point.owner_.model_.arena();
+  }
+  const pepa::ProcessNode& node(pepa::ProcessId id) const {
+    return arena().node(id);
+  }
+  pepa::Rate rate(pepa::ProcessId id, const pepa::ProcessNode& node) const {
+    const auto& swept = point.owner_.swept_;
+    if (const auto it = swept.find(id); it != swept.end()) {
+      const double value = it->second.second * point.values_[it->second.first];
+      return node.rate.is_passive() ? pepa::Rate::passive(value)
+                                    : pepa::Rate::active(value);
+    }
+    return node.rate;
+  }
+  static Target target(pepa::ProcessId) { return {}; }
+  static Target hide(Target, const std::vector<pepa::ActionId>&) { return {}; }
+  static Target cooperate(Target, const std::vector<pepa::ActionId>&,
+                          Target) {
+    return {};
+  }
+  const std::vector<RatedMove>& derivatives(pepa::ProcessId id) {
+    return point.moves(id);
+  }
+  pepa::Rate apparent(pepa::ProcessId id, pepa::ActionId action) {
+    return point.apparent(id, action);
+  }
+};
+
+RateRebinder::Point::Point(const RateRebinder& owner,
+                           std::vector<double> values)
     : owner_(owner),
       values_(std::move(values)),
-      identity_(values_ == owner.base_values_),
-      serial_(owner.next_serial_.fetch_add(1, std::memory_order_relaxed)) {}
-
-pepa::Rate RateRebinder::Point::prefix_rate(
-    pepa::ProcessId id, const pepa::ProcessNode& node) const {
-  if (const auto swept = owner_.swept_.find(id); swept != owner_.swept_.end()) {
-    const double value = swept->second.second * values_[swept->second.first];
-    return node.rate.is_passive() ? pepa::Rate::passive(value)
-                                  : pepa::Rate::active(value);
-  }
-  return node.rate;
-}
+      identity_(values_ == owner.base_values_) {}
 
 const std::vector<RatedMove>& RateRebinder::Point::moves(pepa::ProcessId base) {
   if (const auto it = moves_.find(base); it != moves_.end()) return it->second;
-  std::vector<RatedMove> computed = compute_moves(base);
+  Walk walk{*this};
+  std::vector<RatedMove> computed = pepa::sos::derivatives(walk, base);
   return moves_.emplace(base, std::move(computed)).first->second;
 }
 
@@ -285,180 +249,31 @@ pepa::Rate RateRebinder::Point::apparent(pepa::ProcessId base,
   if (const auto it = apparent_.find(key); it != apparent_.end()) {
     return it->second;
   }
-  const pepa::Rate rate = compute_apparent(base, action);
+  Walk walk{*this};
+  const pepa::Rate rate = pepa::sos::apparent(walk, base, action);
   apparent_.emplace(key, rate);
   return rate;
 }
 
-// The two compute_ walks mirror Semantics::compute_derivatives and
-// Semantics::compute_apparent case for case — same recursion, same emission
-// order, same multiplicities — except that no derivative target is ever
-// built and swept prefix rates take this point's values.  Guardedness is
-// not re-checked: the base derivation already walked (and validated) every
-// recursion this walk can reach.
-std::vector<RatedMove> RateRebinder::Point::compute_moves(
-    pepa::ProcessId base) {
-  const pepa::ProcessArena& arena = owner_.model_.arena();
-  const pepa::ProcessNode& node = arena.node(base);  // arena never grows here
-  std::vector<RatedMove> out;
-  switch (node.op) {
-    case pepa::Op::kStop:
-      return out;
-    case pepa::Op::kPrefix:
-      out.push_back({node.action, prefix_rate(base, node)});
-      return out;
-    case pepa::Op::kChoice: {
-      // Copies: computing the right list may rehash the memo under a
-      // reference obtained for the left list.
-      const std::vector<RatedMove> left = moves(node.left);
-      const std::vector<RatedMove> right = moves(node.right);
-      out = left;
-      out.insert(out.end(), right.begin(), right.end());
-      return out;
+std::vector<double> RateRebinder::Point::local_rates(
+    const pepa::VectorForm& form) {
+  if (identity_) return form.local_rates();
+  std::vector<double> local(form.transitions().size(), 0.0);
+  for (const pepa::Group& group : form.groups()) {
+    for (std::uint32_t s = 0; s < group.states.size(); ++s) {
+      const std::vector<RatedMove>& state_moves = moves(group.states[s]);
+      const auto slots = form.derivative_transitions(group.first + s);
+      if (state_moves.size() != slots.size()) {
+        throw util::ModelError(
+            "sweep point does not preserve the model structure; the "
+            "derived state space cannot be reused");
+      }
+      for (std::size_t j = 0; j < state_moves.size(); ++j) {
+        local[slots[j]] += state_moves[j].rate.value();
+      }
     }
-    case pepa::Op::kHiding: {
-      const std::vector<RatedMove> inner = moves(node.left);
-      out.reserve(inner.size());
-      for (const RatedMove& move : inner) {
-        const pepa::ActionId action =
-            pepa::set_contains(node.action_set, move.action) ? pepa::kTau
-                                                             : move.action;
-        out.push_back({action, move.rate});
-      }
-      return out;
-    }
-    case pepa::Op::kCooperation: {
-      const std::vector<RatedMove> left = moves(node.left);
-      const std::vector<RatedMove> right = moves(node.right);
-      for (const RatedMove& move : left) {
-        if (pepa::set_contains(node.action_set, move.action)) continue;
-        out.push_back(move);
-      }
-      for (const RatedMove& move : right) {
-        if (pepa::set_contains(node.action_set, move.action)) continue;
-        out.push_back(move);
-      }
-      for (const pepa::ActionId shared : node.action_set) {
-        const pepa::Rate apparent_left = apparent(node.left, shared);
-        const pepa::Rate apparent_right = apparent(node.right, shared);
-        if (apparent_left.is_zero() || apparent_right.is_zero()) continue;
-        for (const RatedMove& dl : left) {
-          if (dl.action != shared) continue;
-          for (const RatedMove& dr : right) {
-            if (dr.action != shared) continue;
-            out.push_back({shared, pepa::cooperation_rate(
-                                       dl.rate, apparent_left, dr.rate,
-                                       apparent_right,
-                                       arena.action_name(shared))});
-          }
-        }
-      }
-      return out;
-    }
-    case pepa::Op::kConstant:
-      return moves(arena.body(node.constant));
   }
-  return out;
-}
-
-pepa::Rate RateRebinder::Point::compute_apparent(pepa::ProcessId base,
-                                                 pepa::ActionId action) {
-  const pepa::ProcessArena& arena = owner_.model_.arena();
-  const pepa::ProcessNode& node = arena.node(base);
-  switch (node.op) {
-    case pepa::Op::kStop:
-      return pepa::Rate();
-    case pepa::Op::kPrefix:
-      return node.action == action ? prefix_rate(base, node) : pepa::Rate();
-    case pepa::Op::kChoice:
-      return apparent(node.left, action)
-          .plus(apparent(node.right, action), arena.action_name(action));
-    case pepa::Op::kHiding:
-      if (action == pepa::kTau) {
-        pepa::Rate sum = apparent(node.left, pepa::kTau);
-        for (const pepa::ActionId hidden : node.action_set) {
-          sum = sum.plus(apparent(node.left, hidden), "tau");
-        }
-        return sum;
-      }
-      if (pepa::set_contains(node.action_set, action)) return pepa::Rate();
-      return apparent(node.left, action);
-    case pepa::Op::kCooperation: {
-      const pepa::Rate left = apparent(node.left, action);
-      const pepa::Rate right = apparent(node.right, action);
-      if (action != pepa::kTau &&
-          pepa::set_contains(node.action_set, action)) {
-        return pepa::Rate::min(left, right);
-      }
-      return left.plus(right, arena.action_name(action));
-    }
-    case pepa::Op::kConstant:
-      return apparent(arena.body(node.constant), action);
-  }
-  return pepa::Rate();
-}
-
-pepa::ProcessId RateRebinder::Point::term(pepa::ProcessId base) {
-  if (identity_) return base;
-  if (const auto it = terms_.find(base); it != terms_.end()) {
-    return it->second;
-  }
-  pepa::ProcessArena& arena = owner_.model_.arena();
-  // Copy: interning below may grow the arena and move nothing (ids are
-  // stable), but the reference could alias a node we are about to hash.
-  const pepa::ProcessNode node = arena.node(base);
-  pepa::ProcessId out = base;
-  switch (node.op) {
-    case pepa::Op::kStop:
-      break;
-    case pepa::Op::kPrefix: {
-      pepa::Rate rate = node.rate;
-      if (const auto swept = owner_.swept_.find(base);
-          swept != owner_.swept_.end()) {
-        const double value =
-            swept->second.second * values_[swept->second.first];
-        rate = node.rate.is_passive() ? pepa::Rate::passive(value)
-                                      : pepa::Rate::active(value);
-      }
-      out = arena.prefix(node.action, rate, term(node.left));
-      break;
-    }
-    case pepa::Op::kChoice:
-      out = arena.choice(term(node.left), term(node.right));
-      break;
-    case pepa::Op::kCooperation:
-      out = arena.cooperation(term(node.left), node.action_set,
-                              term(node.right));
-      break;
-    case pepa::Op::kHiding:
-      out = arena.hiding(term(node.left), node.action_set);
-      break;
-    case pepa::Op::kConstant:
-      out = arena.constant(constant(node.constant));
-      break;
-  }
-  terms_.emplace(base, out);
-  return out;
-}
-
-pepa::ConstantId RateRebinder::Point::constant(pepa::ConstantId base) {
-  if (identity_) return base;
-  if (base >= owner_.constant_affected_.size() ||
-      owner_.constant_affected_[base] == 0) {
-    return base;  // definition untouched by the sweep: share it
-  }
-  if (const auto it = constants_.find(base); it != constants_.end()) {
-    return it->second;
-  }
-  pepa::ProcessArena& arena = owner_.model_.arena();
-  const pepa::ConstantId fresh = arena.declare(
-      util::msg(arena.constant_name(base), "@sw", serial_));
-  // Record the mapping before remapping the body so recursive definitions
-  // (Client = (think, r).Client) close back onto the fresh constant instead
-  // of recursing forever.
-  constants_.emplace(base, fresh);
-  arena.define(fresh, term(arena.body(base)));
-  return fresh;
+  return local;
 }
 
 }  // namespace choreo::sweep

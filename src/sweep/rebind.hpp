@@ -14,21 +14,20 @@
 //     no derived parameters, no hash-consing conflicts) and refuses
 //     otherwise — a wrong silent rebind would be a corrupted analysis.
 //
-//   * Point::moves() re-runs the SOS over the *base* terms with the point's
-//     values substituted into tagged prefix rates, computing only the
-//     (action, rate) payload — no new term is ever interned, so evaluating
-//     a point is pure arithmetic over the existing DAG.  Because it is the
-//     same syntax-directed recursion that derived the base space, the moves
-//     of a state align one-to-one (same order, same multiplicity) with the
-//     base state's transition row; the sweep runner overwrites just the
-//     rates of the derived transition system (runner.cpp).
+//   * Point::moves() runs PEPA's SOS rules (pepa/sos.hpp, the recursion
+//     pepa::Semantics derives with) over the *base* terms with the point's
+//     values substituted into tagged prefix rates, carrying only the
+//     (action, rate) payload: no term is ever interned, so evaluating a
+//     point is pure arithmetic over the existing DAG.  Being the same
+//     recursion that derived the base space, the moves of a state align
+//     one-to-one (same order, same multiplicity) with the base state's
+//     transition row; the sweep runner overwrites just the rates of the
+//     derived transition system (runner.cpp).
 //
-//   * Point::term() additionally offers a full structural remap — fresh
-//     terms with substituted rates, affected constants freshly declared per
-//     point ("Server@sw3") with the mapping recorded *before* the body is
-//     remapped so recursive definitions terminate.  Backends that need an
-//     actual process term per point (the fluid ODE translation) use this;
-//     the exact backend never pays for it.
+//   * Point::local_rates() folds those moves onto the local transitions of
+//     a numerical vector form (pepa/vector_form.hpp), for backends that
+//     work on the vector form instead of the state space: count-vector
+//     quotients and the fluid ODE.
 //
 // The module also content-addresses models: structure_fingerprint() hashes
 // the rate-stripped model (the identity shared by every point of a sweep)
@@ -36,7 +35,6 @@
 // point — together they key per-point service cache entries.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -44,6 +42,8 @@
 #include <vector>
 
 #include "pepa/model.hpp"
+#include "pepa/sos.hpp"
+#include "pepa/vector_form.hpp"
 
 namespace choreo::sweep {
 
@@ -56,10 +56,7 @@ std::uint64_t structure_fingerprint(pepa::Model& model);
 /// One enabled activity of a base term at a sweep point: the action and the
 /// substituted rate, in the exact emission order of Semantics::derivatives
 /// on that term.
-struct RatedMove {
-  pepa::ActionId action;
-  pepa::Rate rate;
-};
+using RatedMove = pepa::sos::Move<pepa::sos::NoTarget>;
 
 class RateRebinder {
  public:
@@ -67,7 +64,7 @@ class RateRebinder {
   /// when a name is not a parameter, is opaque (used in a compound rate
   /// expression, feeds a derived parameter, or lost its provenance to
   /// hash-consing), or never appears as a prefix rate.  The model must
-  /// outlive the rebinder; its arena is mutated by remapping.
+  /// outlive the rebinder; points never mutate its arena.
   RateRebinder(pepa::Model& model, std::vector<std::string> parameters);
 
   pepa::Model& model() noexcept { return model_; }
@@ -85,50 +82,40 @@ class RateRebinder {
   /// into the swept prefixes — the per-point complement of structure().
   std::uint64_t rate_fingerprint(std::span<const double> values) const;
 
-  /// One sweep point's remapping context.  Not thread-safe; create one per
-  /// evaluation task.  Memoises term and constant mappings so shared
-  /// subterms are remapped once.
+  /// One sweep point's evaluation context.  Not thread-safe; create one
+  /// per evaluation task.  Memoises moves and apparent rates per base term,
+  /// so shared subterms are evaluated once.
   class Point {
    public:
-    /// The moves of a base term with this point's values substituted — the
-    /// rate payload of Semantics::derivatives(base) recomputed arithmetically
-    /// over the base DAG, without interning any term.  Only call after the
-    /// base model has been derived (derivation validates guardedness; this
-    /// walk repeats its recursion without re-checking).
+    /// The moves of a base term with this point's values substituted: the
+    /// rate payload of Semantics::derivatives(base), by the same SOS
+    /// recursion, without interning any term.  Throws util::ModelError on
+    /// unguarded recursion and mixed active/passive offerings.
     const std::vector<RatedMove>& moves(pepa::ProcessId base);
     /// Apparent rate of `action` in a base term at this point's values.
     pepa::Rate apparent(pepa::ProcessId base, pepa::ActionId action);
-    /// The rebound counterpart of a base-model term.
-    pepa::ProcessId term(pepa::ProcessId base);
-    /// The rebound counterpart of a base-model constant (identity for
-    /// constants the sweep does not affect).
-    pepa::ConstantId constant(pepa::ConstantId base);
+    /// The rates of `form`'s local transitions at this point: each local
+    /// state's moves summed onto the transitions its derivatives were
+    /// merged into (VectorForm::derivative_transitions).  `form` must be
+    /// built from the rebinder's model.
+    std::vector<double> local_rates(const pepa::VectorForm& form);
     const std::vector<double>& values() const noexcept { return values_; }
-    /// True when every swept value equals the base model's: terms map to
-    /// themselves.
+    /// True when every swept value equals the base model's.
     bool is_identity() const noexcept { return identity_; }
 
    private:
     friend class RateRebinder;
-    Point(RateRebinder& owner, std::vector<double> values);
+    struct Walk;
+    Point(const RateRebinder& owner, std::vector<double> values);
 
-    std::vector<RatedMove> compute_moves(pepa::ProcessId base);
-    pepa::Rate compute_apparent(pepa::ProcessId base, pepa::ActionId action);
-    /// The prefix's rate with this point's value substituted when swept.
-    pepa::Rate prefix_rate(pepa::ProcessId id, const pepa::ProcessNode& node)
-        const;
-
-    RateRebinder& owner_;
+    const RateRebinder& owner_;
     std::vector<double> values_;
     bool identity_;
-    std::uint64_t serial_;
-    std::unordered_map<pepa::ProcessId, pepa::ProcessId> terms_;
-    std::unordered_map<pepa::ConstantId, pepa::ConstantId> constants_;
     std::unordered_map<pepa::ProcessId, std::vector<RatedMove>> moves_;
     std::unordered_map<std::uint64_t, pepa::Rate> apparent_;
   };
 
-  /// A remapping context for one point; `values` align with parameters()
+  /// An evaluation context for one point; `values` align with parameters()
   /// and must be positive and finite (util::ModelError otherwise).
   Point at(std::span<const double> values);
 
@@ -141,10 +128,6 @@ class RateRebinder {
   std::uint64_t structure_ = 0;
   /// Tagged prefix -> (axis index, literal scale): rate = scale * value.
   std::unordered_map<pepa::ProcessId, std::pair<std::size_t, double>> swept_;
-  /// Constants whose definition (transitively) contains a swept prefix.
-  std::vector<char> constant_affected_;
-  /// Distinguishes the fresh constants declared by successive points.
-  std::atomic<std::uint64_t> next_serial_{0};
 };
 
 }  // namespace choreo::sweep

@@ -93,34 +93,17 @@ std::vector<double> SharedStructure::rebind_rates(RateRebinder::Point& point) {
     return rates;
   }
   if (const pepa::VectorForm* form = space_.vector_form()) {
-    // Count-vector quotient: rebind the local transitions — each local
-    // state's rate-only SOS walk, folded onto the transitions its
-    // derivatives were merged into — then re-enumerate the count-vector
-    // moves under those rates, in derivation order.
-    std::vector<double> local(form->transitions().size(), 0.0);
-    for (const pepa::Group& group : form->groups()) {
-      for (std::uint32_t s = 0; s < group.states.size(); ++s) {
-        const std::vector<RatedMove>& moves = point.moves(group.states[s]);
-        const auto slots = form->derivative_transitions(group.first + s);
-        if (moves.size() != slots.size()) {
-          throw util::ModelError(
-              "sweep point does not preserve the model structure; the "
-              "derived state space cannot be reused");
-        }
-        for (std::size_t j = 0; j < moves.size(); ++j) {
-          local[slots[j]] += moves[j].rate.value();
-        }
-      }
-    }
-    return space_.rates_under(local);
+    // Count-vector quotient: re-enumerate the count-vector moves, in
+    // derivation order, under the point's local transition rates.
+    return space_.rates_under(point.local_rates(*form));
   }
   const pepa::StateTransition* base = transitions.data();
   for (std::size_t state = 0; state < space_.state_count(); ++state) {
     const std::span<const pepa::StateTransition> row = space_.lts().from(state);
     const std::size_t offset = static_cast<std::size_t>(row.data() - base);
-    // The rate-only SOS walk repeats the recursion that derived this state,
-    // so its moves align index-for-index with the base row; the action
-    // check below is a cheap guard on that invariant.
+    // The rate-only SOS walk is the recursion that derived this state, so
+    // its moves align index-for-index with the base row; the action check
+    // below is a cheap guard on that invariant.
     const std::vector<RatedMove>& moves =
         point.moves(space_.state_term(state));
     std::size_t j = 0;
@@ -202,10 +185,10 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
   }
 
   // Everything below is shared, read-only state for the point evaluators;
-  // per-point mutable context (the remap memo) lives in each task.
+  // per-point mutable context (the SOS memo) lives in each task.
   std::unique_ptr<SharedStructure> shared;
   std::unique_ptr<RateRebinder> rebinder;
-  std::unique_ptr<pepa::Semantics> fluid_semantics;
+  std::unique_ptr<fluid::VectorForm> form;
   std::function<void(std::size_t)> evaluate;
 
   if (options.backend == Backend::kExact) {
@@ -243,7 +226,6 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
     rebinder = std::make_unique<RateRebinder>(model, table.axes);
     table.structure = rebinder->structure();
     table.derivations = 0;  // the fluid backend never derives a state space
-    fluid_semantics = std::make_unique<pepa::Semantics>(model.arena());
     const pepa::ProcessArena& arena = model.arena();
     table.measures.reserve(arena.action_count() - 1);
     for (pepa::ActionId action = 1; action < arena.action_count(); ++action) {
@@ -252,17 +234,32 @@ SweepTable sweep(pepa::Model& model, const SweepSpec& spec,
 
     fluid::FluidOptions fluid = options.fluid;
     fluid.ode.budget = options.budget;
-    const pepa::ProcessId base_system = model.system();
+    // The vector form depends on the structure alone, so it is built once;
+    // each point integrates a copy carrying its own local rates.  A form
+    // that cannot be built fails every point with the same error.
+    try {
+      pepa::Semantics semantics(model.arena());
+      form = std::make_unique<fluid::VectorForm>(
+          fluid::VectorForm::build(semantics, model.system(), fluid.build));
+    } catch (const util::InterruptedError&) {
+      throw;
+    } catch (const util::BudgetError&) {
+      throw;
+    } catch (const util::Error& error) {
+      for (SweepRow& row : table.rows) row.error = error.what();
+    }
     const std::size_t columns = arena.action_count() - 1;
-    evaluate = [&table, binder = rebinder.get(),
-                semantics = fluid_semantics.get(), fluid, base_system, columns,
-                budget = options.budget](std::size_t p) {
+    evaluate = [&table, binder = rebinder.get(), form = form.get(), fluid,
+                columns, budget = options.budget](std::size_t p) {
       SweepRow& row = table.rows[p];
       try {
         if (budget != nullptr) budget->check("sweep");
+        if (form == nullptr) return;  // the row carries the build error
         RateRebinder::Point point = binder->at(row.values);
-        const fluid::FluidResult result = fluid::solve_steady(
-            *semantics, point.term(base_system), fluid);
+        fluid::VectorForm rebound = *form;
+        rebound.set_local_rates(point.local_rates(*form));
+        const fluid::FluidResult result =
+            fluid::solve_steady(std::move(rebound), fluid);
         row.measures.assign(columns, 0.0);
         for (const auto& [action, value] : result.throughputs) {
           if (action != pepa::kTau) row.measures[action - 1] = value;

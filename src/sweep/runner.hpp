@@ -6,10 +6,14 @@
 // move of a state at new rate values is the j-th transition of the base
 // state's CSR row (the exploration engine commits transitions in derivative
 // order, dropping top-level passive moves under the same filter applied
-// here).  Per-point rates come from RateRebinder::Point::moves() — the SOS
-// re-run arithmetically over the base terms, interning nothing — and the
+// here).  Per-point rates come from RateRebinder::Point::moves(), the SOS
+// rules run over the base terms without interning anything, and the
 // alignment is still checked per transition (action and row length), so a
-// sweep can never silently solve the wrong chain.
+// sweep can never silently solve the wrong chain.  Count-vector quotients
+// and the fluid backend take the same moves folded onto the local
+// transitions of the model's vector form (Point::local_rates); the fluid
+// backend builds that form once per sweep and integrates a copy carrying
+// each point's rates.
 //
 // sweep() evaluates every point of a SweepSpec, scheduling the per-point
 // solves across a util::ThreadPool under one util::Budget, and emits a
@@ -37,7 +41,8 @@
 namespace choreo::sweep {
 
 /// How each point is evaluated: the exact CTMC on the shared derived
-/// structure, or the fluid ODE approximation (no derivation at all).
+/// structure, or the fluid ODE approximation on the shared vector form (no
+/// derivation at all).
 enum class Backend { kExact, kFluid };
 
 const char* to_string(Backend backend);

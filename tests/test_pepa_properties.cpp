@@ -2,11 +2,14 @@
 // sweeps) checked against semantic invariants that must hold for *every*
 // model -- determinism of derivation, probability conservation, throughput
 // accounting, cooperation commutativity, hiding invariance, lumping
-// exactness, count-vector quotient exactness, and transient/steady-state
-// consistency.
+// exactness, count-vector quotient exactness, transient/steady-state
+// consistency, and sweep points agreeing with a fresh derivation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
+#include <regex>
 #include <string>
 
 #include "ctmc/lumping.hpp"
@@ -18,6 +21,7 @@
 #include "pepa/printer.hpp"
 #include "pepa/semantics.hpp"
 #include "pepa/statespace.hpp"
+#include "sweep/runner.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -294,6 +298,75 @@ TEST_P(RandomModels, TransientConvergesToSteadyState) {
   const auto evolved = cc::transient(generator, pi, 10.0);
   for (std::size_t s = 0; s < pi.size(); ++s) {
     EXPECT_NEAR(evolved.distribution[s], pi[s], 1e-6);
+  }
+}
+
+TEST_P(RandomModels, SweepPointMatchesFreshDerivation) {
+  // Each prefix rate of the random model in turn written through a
+  // parameter `p`: every point of a sweep over `p` must reproduce a fresh
+  // parse, derive and solve of the model with that value written in.
+  // Covers the full chain, the count-vector quotient of doubled
+  // components, and the canonicalised quotient the hiding set forces.
+  struct Variant {
+    const char* hide;
+    std::size_t replicas;
+    bool aggregate;
+  };
+  for (const Variant variant : {Variant{"", 1, false}, Variant{"", 2, true},
+                                Variant{"a", 2, true}}) {
+    const std::string source = random_model(GetParam(), false, variant.hide,
+                                            variant.replicas);
+    static const std::regex kPrefix(R"(\(([a-d]), ([0-9.]+)\))");
+    for (auto match = std::sregex_iterator(source.begin(), source.end(),
+                                           kPrefix);
+         match != std::sregex_iterator(); ++match) {
+      SCOPED_TRACE(::testing::Message()
+                   << "replicas " << variant.replicas << ", hide {"
+                   << variant.hide << "}, prefix at " << match->position(0));
+      const std::string head = source.substr(0, match->position(0)) + "(" +
+                               match->str(1) + ", p)" +
+                               source.substr(match->position(0) +
+                                             match->length(0));
+      auto source_at = [&head](double value) {
+        return "p = " + cu::format_double(value) + ";\n" + head;
+      };
+
+      cp::Model model = cp::parse_model(source_at(std::stod(match->str(2))));
+      if (model.parameter_is_opaque("p")) continue;  // shares a literal prefix
+      choreo::sweep::SweepSpec spec;
+      spec.axes = {choreo::sweep::Axis::list("p", {0.4, 1.3, 2.9})};
+      choreo::sweep::SweepOptions options;
+      options.threads = 1;
+      options.derive.aggregate = variant.aggregate;
+      const choreo::sweep::SweepTable table =
+          choreo::sweep::sweep(model, spec, options);
+
+      for (const choreo::sweep::SweepRow& row : table.rows) {
+        cp::Model fresh = cp::parse_model(source_at(row.values[0]));
+        cp::Semantics semantics(fresh.arena());
+        const auto space =
+            cp::StateSpace::derive(semantics, fresh.system(), options.derive);
+        ASSERT_EQ(table.state_count, space.state_count());
+        cc::SolveResult solved;
+        try {
+          solved = cc::steady_state(space.generator());
+        } catch (const cu::NumericError&) {
+          EXPECT_FALSE(row.ok());  // several recurrent classes
+          continue;
+        }
+        ASSERT_TRUE(row.ok()) << row.error;
+        ASSERT_EQ(row.measures.size(), fresh.arena().action_count() - 1);
+        for (cp::ActionId action = 1; action < fresh.arena().action_count();
+             ++action) {
+          const double expected =
+              space.lts().action_throughput(solved.distribution, action);
+          EXPECT_NEAR(row.measures[action - 1], expected,
+                      1e-9 * std::max(1.0, std::abs(expected)))
+              << fresh.arena().action_name(action) << " at p="
+              << row.values[0];
+        }
+      }
+    }
   }
 }
 

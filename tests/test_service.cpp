@@ -375,6 +375,36 @@ TEST(Service, RetryAtLowerAggregationSettingRecovers) {
   EXPECT_EQ(failure.attempts, 2u);
 }
 
+TEST(Service, CacheHitAfterARetryReportsTheProducingLevel) {
+  cs::Registry registry;
+  cs::ResultCache cache({.registry = &registry});
+  cs::SchedulerOptions options;
+  options.workers = 1;
+  options.max_retries = 1;
+  options.retry_backoff_seconds = 0.001;
+  options.retry_state_budget_factor = 100.0;
+  options.cache = &cache;
+  options.registry = &registry;
+  cs::Scheduler scheduler(options);
+
+  cs::JobRequest request =
+      inline_request(cm::to_xmi(chor::pda_handover_model()));
+  request.options.max_states = 4;  // the PDA model has 10 markings
+  const cs::JobResult first = scheduler.submit(request).wait();
+  ASSERT_EQ(first.status, cs::JobStatus::kDone) << first.error;
+  EXPECT_EQ(first.attempts, 2u);
+  EXPECT_EQ(first.aggregation_used, chor::Aggregation::kExact);
+
+  // Keyed by the requested level, produced by the exact rung: the hit
+  // reports the rung, as the report it replays describes the quotient.
+  const cs::JobResult again = scheduler.submit(request).wait();
+  ASSERT_EQ(again.status, cs::JobStatus::kDone) << again.error;
+  EXPECT_TRUE(again.from_cache);
+  EXPECT_EQ(again.attempts, 0u);
+  EXPECT_EQ(again.aggregation_used, chor::Aggregation::kExact);
+  EXPECT_EQ(again.annotated_xmi, first.annotated_xmi);
+}
+
 TEST(Service, RetryLadderLandsOnFluidBackend) {
   // A state-machine model whose chain grows exponentially in the client
   // count: the full solve trips max_states, the exact rung's quotient is

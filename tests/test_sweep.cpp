@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fluid/analysis.hpp"
 #include "pepa/parser.hpp"
 #include "service/cache.hpp"
 #include "service/metrics.hpp"
@@ -213,6 +214,21 @@ TEST(Fingerprint, RatePayloadDistinguishesPoints) {
 
 // --- rebind correctness ---------------------------------------------------
 
+TEST(RateRebinder, PointWalkRejectsUnguardedRecursion) {
+  // The point's SOS walk shares the guardedness check of the derivation.
+  pepa::Model model = pepa::parse_model(
+      "r = 1.0;\n"
+      "P = P + (a, r).P;\n"
+      "@system P;\n",
+      "unguarded");
+  sweep::RateRebinder rebinder(model, {"r"});
+  const std::vector<double> values{2.0};
+  sweep::RateRebinder::Point point = rebinder.at(values);
+  EXPECT_THROW(point.moves(model.system()), util::ModelError);
+  EXPECT_THROW(point.apparent(model.system(), *model.arena().find_action("a")),
+               util::ModelError);
+}
+
 TEST(SweepRunner, MatchesIndependentDerivationAtEveryPoint) {
   pepa::Model model = pepa::parse_model(tomcat_source(40.0), "tomcat");
   sweep::SweepSpec spec;
@@ -371,6 +387,99 @@ TEST(SweepRunner, FluidBackendNeverDerives) {
   // More thinkers per unit time as r grows: throughput is monotone.
   EXPECT_LT(table.rows[0].measures[0], table.rows[1].measures[0]);
   EXPECT_LT(table.rows[1].measures[0], table.rows[2].measures[0]);
+}
+
+TEST(SweepRunner, FluidSweepLeavesTheArenaAlone) {
+  pepa::Model model = pepa::parse_model(
+      "r = 1.0; s = 2.0;\n"
+      "Think = (task, r).Wait;\n"
+      "Wait  = (reply, s).Think;\n"
+      "Pop = Think[50];\n"
+      "@system Pop;\n",
+      "fluid");
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::linear("r", 0.5, 5.0, 50)};
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.backend = sweep::Backend::kFluid;
+  const std::size_t constants = model.arena().constant_count();
+  const std::size_t nodes = model.arena().node_count();
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), 50u);
+  for (const sweep::SweepRow& row : table.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+  }
+  // Points rebind the local rates of one shared vector form: no point
+  // declares constants or interns terms.
+  EXPECT_EQ(model.arena().constant_count(), constants);
+  EXPECT_EQ(model.arena().node_count(), nodes);
+}
+
+/// tests/models/sweep_features.pepa with its rates substituted.
+std::string features_source(double r, double s) {
+  std::ifstream in(std::string(CHOREO_TESTS_DIR) +
+                   "/models/sweep_features.pepa");
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string source = text.str();
+  const std::string rates = "r = 1.0; s = 3.0;";
+  const std::size_t at = source.find(rates);
+  EXPECT_NE(at, std::string::npos);
+  return source.replace(at, rates.size(),
+                        util::msg("r = ", util::format_double(r),
+                                  "; s = ", util::format_double(s), ";"));
+}
+
+TEST(SweepRunner, FluidRowsEqualAFreshSolveAtEveryPoint) {
+  pepa::Model model = pepa::parse_model(features_source(1.0, 3.0), "base");
+  sweep::SweepSpec spec;
+  // Every combination of "left at its base value" and "moved": whichever
+  // rates a point changes, it integrates the vector form of a fresh parse,
+  // same layout and same local rates, so the rows match bit for bit.
+  spec.axes = {sweep::Axis::list("r", {0.5, 1.0, 2.5}),
+               sweep::Axis::list("s", {1.0, 3.0})};
+  sweep::SweepOptions options;
+  options.threads = 1;
+  options.backend = sweep::Backend::kFluid;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), 6u);
+  for (const sweep::SweepRow& row : table.rows) {
+    ASSERT_TRUE(row.ok()) << row.error;
+    pepa::Model fresh = pepa::parse_model(
+        features_source(row.values[0], row.values[1]), "fresh");
+    pepa::Semantics semantics(fresh.arena());
+    const fluid::FluidResult expected =
+        fluid::solve_steady(semantics, fresh.system(), options.fluid);
+    std::vector<double> measures(fresh.arena().action_count() - 1, 0.0);
+    for (const auto& [action, value] : expected.throughputs) {
+      if (action != pepa::kTau) measures[action - 1] = value;
+    }
+    EXPECT_EQ(row.measures, measures)
+        << "r=" << row.values[0] << " s=" << row.values[1];
+  }
+}
+
+TEST(SweepRunner, FluidFormThatCannotBeBuiltFailsEveryRow) {
+  pepa::Model model = pepa::parse_model(
+      "r = 1.0;\n"
+      "P = (a, r).Q;\n"
+      "Q = (b, 2.0).P;\n"
+      "System = (P || P)/{a};\n"
+      "@system System;\n",
+      "hidden composition");
+  sweep::SweepSpec spec;
+  spec.axes = {sweep::Axis::list("r", {1.0, 2.0, 4.0})};
+  sweep::SweepOptions options;
+  options.backend = sweep::Backend::kFluid;
+  const sweep::SweepTable table = sweep::sweep(model, spec, options);
+  ASSERT_EQ(table.rows.size(), 3u);
+  ASSERT_EQ(table.measures.size(), 2u);
+  for (const sweep::SweepRow& row : table.rows) {
+    EXPECT_EQ(row.error,
+              "vector form: hiding or choice over a composition cannot be "
+              "represented as a sequential component");
+    EXPECT_TRUE(row.measures.empty());
+  }
 }
 
 TEST(SweepTable, CsvAndJsonAreWellFormed) {
@@ -695,6 +804,35 @@ TEST(SweepService, SweepJobsJoinTheRetryLadder) {
   for (const sweep::SweepRow& row : result.sweep->rows) {
     EXPECT_TRUE(row.ok()) << row.error;
   }
+}
+
+TEST(SweepService, CacheHitAfterARetryReportsTheProducingLevel) {
+  const std::string path =
+      write_temp_model("sweep_service_retry_hit.pepa", kReplicated);
+  service::Registry registry;
+  service::ResultCache cache({.registry = &registry});
+  service::Scheduler scheduler({.workers = 1,
+                                .max_retries = 1,
+                                .retry_backoff_seconds = 0.001,
+                                .cache = &cache,
+                                .registry = &registry});
+  service::JobRequest request =
+      replicated_sweep(path, chor::Aggregation::kNone);
+  request.options.max_states = 10;
+  const service::JobResult first = scheduler.submit(request).wait();
+  ASSERT_EQ(first.status, service::JobStatus::kDone) << first.error;
+  EXPECT_EQ(first.attempts, 2u);
+  EXPECT_EQ(first.aggregation_used, chor::Aggregation::kExact);
+  EXPECT_EQ(first.sweep->state_count, 5u);
+
+  // The entries sit under the requested level's key but were produced by
+  // the exact rung, and the hit says so.
+  const service::JobResult again = scheduler.submit(request).wait();
+  ASSERT_EQ(again.status, service::JobStatus::kDone) << again.error;
+  EXPECT_TRUE(again.from_cache);
+  EXPECT_EQ(again.attempts, 0u);
+  EXPECT_EQ(again.aggregation_used, chor::Aggregation::kExact);
+  EXPECT_EQ(again.sweep->state_count, 5u);
 }
 
 }  // namespace
