@@ -272,11 +272,11 @@ void report() {
   // derived (client_server[1000cl,4sv]'s 4.2e10 states could not be) —
   // and each quotient count is checked against its closed form.  The
   // "reduction" column is states-of-full / states-of-quotient, the ratio
-  // of interned states; the transition columns show whether the stored
-  // transitions shrink with the states (count vectors merge the replicas'
-  // parallel moves) or stay one per replica move.  The last row is a
-  // PEPA-net quotient (cell permutations collapsed by the marking
-  // canonicalizer) whose full marking graph is small enough to derive.
+  // of interned states; the transition columns show the stored
+  // transitions shrinking with the states (count vectors merge the
+  // replicas' parallel moves).  The last row is a PEPA-net quotient (the
+  // tokens of each place's interchangeable cells counted) whose full
+  // marking graph is small enough to derive.
   struct QuotientRow {
     std::string label;
     std::size_t full_states;

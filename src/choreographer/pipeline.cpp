@@ -40,7 +40,6 @@ StageTimings& StageTimings::operator+=(const StageTimings& other) {
   derive_stats.dedup_misses += other.derive_stats.dedup_misses;
   derive_stats.peak_frontier =
       std::max(derive_stats.peak_frontier, other.derive_stats.peak_frontier);
-  derive_stats.canonical_rewrites += other.derive_stats.canonical_rewrites;
   derive_stats.collapsed_replicas += other.derive_stats.collapsed_replicas;
   fluid_steps += other.fluid_steps;
   fluid_rejected_steps += other.fluid_rejected_steps;

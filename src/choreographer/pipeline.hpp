@@ -29,12 +29,12 @@ namespace choreo::chor {
 enum class Aggregation : std::uint8_t {
   /// Solve the full chain.
   kNone,
-  /// Derive and solve the strong-equivalence quotient directly: replicated
-  /// PEPA models are explored as count vectors (pepa/vector_form.hpp),
-  /// other states/markings are rewritten to canonical representatives
-  /// inside the exploration engine (pepa/canonical.hpp,
-  /// pepanet/netcanonical.hpp), so the full chain is never built and peak
-  /// memory is the quotient's size.
+  /// Derive and solve the strong-equivalence quotient directly, by one
+  /// rule for both formalisms: count vectors when some PEPA replica group
+  /// or net cell class holds two or more members (pepa/vector_form.hpp,
+  /// pepanet::NetDeriveOptions::aggregate), so the full chain is never
+  /// built and peak memory is the quotient's size; otherwise the full
+  /// chain, which has nothing to collapse this way.
   /// Exact for both activity graphs and state diagrams — throughputs and
   /// the per-state presence probabilities are invariant under the replica
   /// reordering the quotient collapses.  Reported marking/state counts are

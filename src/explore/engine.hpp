@@ -54,18 +54,14 @@
 // Requirements on the policy types:
 //
 //   State       value interned into `states`/`index`; moved, hashed (Hash)
-//               and compared for equality.
+//               and compared for equality.  The engine explores exactly
+//               the states it is given: an exact quotient is a policy
+//               whose states are already block representatives — PEPA
+//               count vectors, or net markings with each cell class's
+//               tokens arranged in local-index order.
 //   Successors  callable State-const-ref -> std::vector<Move> (by value;
 //               must be safe to call concurrently from expansion lanes).
 //   Move        exposes `.target` (State) and `.rate` (with is_passive()).
-//   Canonicalize callable State-ref -> bool, rewriting the state to its
-//               canonical representative in place (returning whether it
-//               changed) before any lookup or interning.  Applied to the
-//               initial state and to every successor target, so the
-//               explored space is the quotient under the induced
-//               equivalence.  Must be deterministic and safe to call
-//               concurrently from expansion lanes.  NoCanonicalize keeps
-//               the identity (full-space) behaviour.
 //   ActionName  callable Move-const-ref -> printable action name, used in
 //               the passive-at-top-level diagnostic.
 //   Commit      callable (source index, Move&, target index), invoked
@@ -74,7 +70,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <limits>
 #include <string_view>
@@ -101,14 +96,13 @@ struct DeriveStats {
   std::size_t dedup_hits = 0;
   /// Newly discovered states (equals the final state count).
   std::size_t dedup_misses = 0;
-  /// States the canonicalization stage rewrote to a different (canonical)
-  /// representative before interning; 0 on unaggregated runs.  Together
-  /// with dedup_misses this yields the on-the-fly aggregation's reduction
-  /// evidence: rewrites happened and the explored space is the quotient.
+  /// Always 0: exact quotients are count vectors, which rewrite nothing.
+  /// Kept only because the repository benchmark (perfbench/cpp/replay.cpp)
+  /// still reads it; it goes with that benchmark's next revision.
   std::size_t canonical_rewrites = 0;
   /// Replicas a count-vector derivation folded into counted groups (per
-  /// group, its replica count minus one); 0 when states are terms.  The
-  /// count-vector counterpart of canonical_rewrites as evidence that
+  /// PEPA group its replica count minus one, per net cell class its cell
+  /// count minus one); 0 on the full chain.  The evidence that
   /// exchangeable replicas collapsed.
   std::size_t collapsed_replicas = 0;
   /// Wall-clock derivation time.
@@ -199,31 +193,18 @@ struct FreshEq {
   }
 };
 
-/// The identity canonicalization: every state is its own representative, so
-/// the explored space is the full chain (the default, golden-locked path).
-struct NoCanonicalize {
-  template <typename State>
-  bool operator()(State&) const noexcept {
-    return false;
-  }
-};
-
 /// Explores from `initial`, appending discovered states to `states` (state
 /// 0 is the initial state) and publishing them in `index`; both are expected
-/// empty.  Every state — the initial one and each successor target — passes
-/// through `canonicalize` before lookup or interning, so the explored space
-/// is the quotient of the derivation graph under the canonicalizer's
-/// equivalence (pass NoCanonicalize for the full space).  Transitions are
-/// handed to `commit` in canonical order.  Returns the exploration counters
-/// (seconds covers the exploration loop only; callers usually overwrite it
-/// with their own stopwatch).
+/// empty.  Transitions are handed to `commit` in canonical order.  Returns
+/// the exploration counters (seconds covers the exploration loop only;
+/// callers usually overwrite it with their own stopwatch).
 template <typename State, typename Hash, typename Successors,
-          typename Canonicalize, typename ActionName, typename Commit>
+          typename ActionName, typename Commit>
 DeriveStats run(std::vector<State>& states,
                 util::StripedMap<State, std::size_t, Hash>& index,
                 State initial, Successors&& successors,
-                Canonicalize&& canonicalize, ActionName&& action_name,
-                Commit&& commit, const EngineOptions& options) {
+                ActionName&& action_name, Commit&& commit,
+                const EngineOptions& options) {
   util::Stopwatch timer;
   DeriveStats stats;
   util::ThreadPool& pool =
@@ -234,11 +215,6 @@ DeriveStats run(std::vector<State>& states,
   // The states of the level being expanded, in canonical (index) order.
   std::vector<std::size_t> frontier;
 
-  // Expansion lanes count their rewrites locally and fold them in here once
-  // per chunk; the serial phases add theirs directly to `stats`.
-  std::atomic<std::size_t> rewrites{0};
-
-  if (canonicalize(initial)) ++stats.canonical_rewrites;
   states.push_back(std::move(initial));
   index.try_emplace(states[0], 0);
   ++stats.dedup_misses;
@@ -281,23 +257,16 @@ DeriveStats run(std::vector<State>& states,
     std::vector<std::vector<PendingMove<Move>>> moves(level.size());
     std::vector<std::exception_ptr> errors(level.size());
     auto expand = [&](std::size_t begin, std::size_t end) {
-      std::size_t local_rewrites = 0;
       for (std::size_t i = begin; i < end; ++i) {
         try {
           std::vector<Move> found = successors(states[level[i]]);
           moves[i].reserve(found.size());
           for (Move& move : found) {
-            // Canonicalize before the batched lookup below, so the index
-            // only ever sees (and interns) canonical representatives.
-            if (canonicalize(move.target)) ++local_rewrites;
             moves[i].push_back({std::move(move), kUnresolved});
           }
         } catch (...) {
           errors[i] = std::current_exception();
         }
-      }
-      if (local_rewrites != 0) {
-        rewrites.fetch_add(local_rewrites, std::memory_order_relaxed);
       }
       // Batched pre-resolution over the whole chunk: one stripe visit per
       // touched stripe instead of one lock round-trip per move.
@@ -400,23 +369,8 @@ DeriveStats run(std::vector<State>& states,
     fresh.clear();
     charge_level();
   }
-  stats.canonical_rewrites += rewrites.load(std::memory_order_relaxed);
   stats.seconds = timer.seconds();
   return stats;
-}
-
-/// The historical signature: explore the full space (no canonicalization).
-template <typename State, typename Hash, typename Successors,
-          typename ActionName, typename Commit>
-DeriveStats run(std::vector<State>& states,
-                util::StripedMap<State, std::size_t, Hash>& index,
-                State initial, Successors&& successors,
-                ActionName&& action_name, Commit&& commit,
-                const EngineOptions& options) {
-  return run(states, index, std::move(initial),
-             std::forward<Successors>(successors), NoCanonicalize{},
-             std::forward<ActionName>(action_name),
-             std::forward<Commit>(commit), options);
 }
 
 }  // namespace choreo::explore

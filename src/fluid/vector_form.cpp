@@ -19,6 +19,15 @@ VectorForm VectorForm::build(pepa::Semantics& semantics, pepa::ProcessId system,
   const std::vector<LocalTransition>& transitions = form.transitions();
   const std::vector<pepa::ActionId>& actions = form.actions();
   const std::vector<TreeNode>& tree = form.tree();
+  // The mean-field drift reads every tree node as a cooperation; a hiding
+  // node's relabelling has no fluid counterpart here.
+  for (const TreeNode& node : tree) {
+    if (node.hidden) {
+      throw util::ModelError(
+          "vector form: hiding or choice over a composition cannot be "
+          "represented as a sequential component");
+    }
+  }
 
   // Static offering kinds, bottom up.  The tree is built children-first, so
   // a forward scan visits every child before its parent.

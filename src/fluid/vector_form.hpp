@@ -34,7 +34,8 @@ using pepa::TreeNode;
 class VectorForm : public pepa::VectorForm {
  public:
   /// Derives the vector form of `system`.  Throws util::ModelError when the
-  /// term cannot be represented (see pepa::VectorForm::build), when an
+  /// term cannot be represented (see pepa::VectorForm::build; a hiding
+  /// over a composition is refused here too), when an
   /// action is offered both actively and passively across independent
   /// components, or for a passively-offered top-level action unless
   /// allowed; util::BudgetError when a local derivative set exceeds the

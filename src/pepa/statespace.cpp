@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "pepa/canonical.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -12,10 +11,9 @@ namespace choreo::pepa {
 namespace {
 
 /// The vector form the count-vector quotient explores, or nullptr when
-/// `system` has none (outside the fragment: hiding or choice over a
-/// composition, an oversized sequential component) or no group holds two
-/// or more replicas — then nothing collapses and canonical terms are the
-/// cheaper representation.
+/// `system` has none (outside the fragment: choice over a composition, an
+/// oversized sequential component) or no group holds two or more replicas
+/// — then nothing collapses and the full chain is the quotient derived.
 std::unique_ptr<const VectorForm> count_vector_form(Semantics& semantics,
                                                     ProcessId system) {
   try {
@@ -56,26 +54,16 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
                          std::size_t target) {
     space.lts_.push_back({source, target, move.action, move.rate.value()});
   };
-  auto run_terms = [&](auto&& canonicalize) {
-    return explore::run(
-        space.states_, space.index_, system,
-        [&semantics](const ProcessId& term) {
-          // Copy: concurrent workers may grow the cache under the ref.
-          return std::vector<Derivative>(semantics.derivatives(term));
-        },
-        std::forward<decltype(canonicalize)>(canonicalize),
-        [&semantics](const Derivative& move) {
-          return semantics.arena().action_name(move.action);
-        },
-        commit, engine);
+  auto action_name = [&semantics](const auto& move) {
+    return semantics.arena().action_name(move.action);
   };
-  if (!options.aggregate) {
-    space.stats_ = run_terms(explore::NoCanonicalize{});
-  } else if (auto form = count_vector_form(semantics, system)) {
-    // Count-vector quotient: the states are already canonical, and each
-    // state's moves come merged per (target, action), so the transitions
-    // scale with the quotient rather than with the replica count.
-    space.aggregated_ = true;
+  space.aggregated_ = options.aggregate;
+  if (auto form = options.aggregate ? count_vector_form(semantics, system)
+                                    : nullptr) {
+    // Count-vector quotient: the states are already block representatives,
+    // and each state's moves come merged per (target, action), so the
+    // transitions scale with the quotient rather than with the replica
+    // count.
     engine.bytes_per_state = 2 * (sizeof(CountVector) +
                                   form->dimension() * sizeof(std::uint32_t)) +
                              sizeof(std::size_t);
@@ -85,24 +73,19 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
         [&form, &rates](const CountVector& counts) {
           return form->moves(counts, rates);
         },
-        explore::NoCanonicalize{},
-        [&semantics](const CountMove& move) {
-          return semantics.arena().action_name(move.action);
-        },
-        commit, engine);
+        action_name, commit, engine);
     for (const Group& group : form->groups()) {
       space.stats_.collapsed_replicas += group.count - 1;
     }
     space.form_ = std::move(form);
   } else {
-    // Sort-canonical terms: successors collapse to their representatives
-    // before interning; parallel moves into one block are committed
-    // separately and summed by the generator build, which is exactly the
-    // lumped rate.  The memo lives for this derivation only.
-    space.aggregated_ = true;
-    Canonicalizer canonicalizer(semantics.arena());
-    space.stats_ = run_terms(
-        [&canonicalizer](ProcessId& term) { return canonicalizer(term); });
+    space.stats_ = explore::run(
+        space.states_, space.index_, system,
+        [&semantics](const ProcessId& term) {
+          // Copy: concurrent workers may grow the cache under the ref.
+          return std::vector<Derivative>(semantics.derivatives(term));
+        },
+        action_name, commit, engine);
   }
   space.lts_.finalize(space.state_count());
   space.stats_.seconds = timer.seconds();

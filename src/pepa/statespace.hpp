@@ -56,27 +56,23 @@ struct DeriveOptions {
   util::Budget* budget = nullptr;
   /// Derive a strong-equivalence quotient directly, so the explored space
   /// — and therefore max_states, the budget's state/byte accounting and
-  /// peak memory — is the quotient, not the full interleaved chain.  The
-  /// representation follows from the model:
+  /// peak memory — is the quotient, not the full interleaved chain.  One
+  /// rule, shared with pepanet::NetDeriveOptions::aggregate: the states are
+  /// count vectors (pepa/vector_form.hpp) when the system equation has a
+  /// vector form and some group holds two or more identical replicas over
+  /// the empty set — a state is "how many replicas sit in each local
+  /// derivative", and parallel moves into one (target, action) merge into
+  /// one transition, so the stored transitions scale with the quotient, not
+  /// with the replica count.  Otherwise the full chain is derived (and
+  /// still reported as aggregated()).
   ///
-  ///   - count vectors (pepa/vector_form.hpp) when the system equation has
-  ///     a vector form and some group holds two or more identical replicas
-  ///     over the empty set: a state is "how many replicas sit in each
-  ///     local derivative", and parallel moves into one (target, action)
-  ///     are merged into one transition, so the stored transitions scale
-  ///     with the quotient, not with the replica count;
-  ///   - sort-canonical terms otherwise (pepa/canonical.hpp): every
-  ///     successor is rewritten to its representative under reordering of
-  ///     same-set cooperands before interning.
-  ///
-  /// Both are exact: throughputs and the presence/count measures
-  /// (state_probability, mean_population) are unchanged, and the quotient
-  /// is byte-identical at every lane count, like the full space.  Neither
-  /// is always the coarsest lumping: count vectors keep synchronised
-  /// identical replicas (P <a> P) and models outside the vector-form
-  /// fragment fall back to canonical terms, which do not see symmetries
-  /// beyond sibling reordering — such models get a finer, still exact,
-  /// quotient (post-hoc pepa::aggregate reaches the coarsest one).
+  /// The quotient is exact: throughputs and the presence/count measures
+  /// (state_probability, mean_population) are unchanged, and it is
+  /// byte-identical at every lane count, like the full space.  It is not
+  /// always the coarsest lumping: synchronised identical replicas (P <a> P),
+  /// replicated composites and models outside the vector-form fragment
+  /// keep their symmetric states apart — post-hoc pepa::aggregate reaches
+  /// the coarsest one.
   bool aggregate = false;
 };
 
@@ -105,8 +101,8 @@ class StateSpace {
   /// the counts on demand (VectorForm::term_of).
   ProcessId state_term(std::size_t index) const;
   /// The state of `term`.  On count-vector spaces any term of the model is
-  /// accepted — the derivation's own or a reordering of same-set
-  /// cooperands — and located through its count vector.
+  /// accepted — a full-chain state or a reordering of same-set cooperands —
+  /// and located through its count vector.
   std::optional<std::size_t> index_of(ProcessId term) const;
 
   /// The vector form whose count vectors are this space's states, or
@@ -137,9 +133,9 @@ class StateSpace {
   /// Counters from the derivation that produced this space.
   const DeriveStats& stats() const noexcept { return stats_; }
 
-  /// True when this space was derived quotient-direct (DeriveOptions::
-  /// aggregate): states are strong-equivalence blocks (count vectors or
-  /// canonical representatives), not raw interleavings.
+  /// True when this space was derived with DeriveOptions::aggregate: its
+  /// states are count vectors (vector_form() is set) or, when nothing
+  /// collapses, the full chain's terms.
   bool aggregated() const noexcept { return aggregated_; }
 
   /// The CTMC generator (parallel transitions summed), built directly from

@@ -14,8 +14,8 @@ namespace choreo::pepa {
 namespace {
 
 /// True when `id` contains a cooperation anywhere below (through constant
-/// definitions).  Sequential leaves must be composition-free: a hiding or
-/// choice over a composition cannot be represented as one counted group.
+/// definitions).  Sequential leaves must be composition-free: a choice over
+/// a composition cannot be represented as one counted group.
 bool contains_composition(const ProcessArena& arena, ProcessId id,
                           std::unordered_set<ProcessId>& seen) {
   if (!seen.insert(id).second) return false;
@@ -35,6 +35,19 @@ bool contains_composition(const ProcessArena& arena, ProcessId id,
       return contains_composition(arena, arena.body(node.constant), seen);
   }
   return false;
+}
+
+bool contains_composition(const ProcessArena& arena, ProcessId id) {
+  std::unordered_set<ProcessId> seen;
+  return contains_composition(arena, id, seen);
+}
+
+/// True when `id` becomes an internal tree node: a cooperation, or a
+/// hiding over a composition.
+bool composite(const ProcessArena& arena, ProcessId id) {
+  const ProcessNode& node = arena.node(id);
+  return node.op == Op::kCooperation ||
+         (node.op == Op::kHiding && contains_composition(arena, node.left));
 }
 
 /// Flattens a chain of cooperations over `set` into its maximal list of
@@ -76,6 +89,40 @@ std::size_t CountVectorHash::operator()(
     h *= 1099511628211ull;
   }
   return h;
+}
+
+LocalStates local_states(Semantics& semantics,
+                         std::span<const ProcessId> seeds,
+                         const VectorFormOptions& options) {
+  LocalStates out;
+  auto add = [&](ProcessId term) {
+    if (!out.index
+             .try_emplace(term, static_cast<std::uint32_t>(out.states.size()))
+             .second) {
+      return;
+    }
+    if (out.states.size() >= options.max_local_states) {
+      throw util::BudgetError(util::msg(
+          "vector form: local derivative set exceeds ",
+          options.max_local_states,
+          " states; the component is not a small sequential process"));
+    }
+    out.states.push_back(term);
+  };
+  for (const ProcessId seed : seeds) {
+    if (contains_composition(semantics.arena(), seed)) {
+      throw util::ModelError(
+          "vector form: hiding or choice over a composition cannot be "
+          "represented as a sequential component");
+    }
+    add(seed);
+  }
+  for (std::size_t si = 0; si < out.states.size(); ++si) {
+    for (const Derivative& d : semantics.derivatives(out.states[si])) {
+      add(d.target);
+    }
+  }
+  return out;
 }
 
 struct VectorForm::Builder {
@@ -122,9 +169,18 @@ struct VectorForm::Builder {
 
   std::uint32_t build_node(ProcessId term) {
     const ProcessArena& arena = semantics.arena();
-    if (arena.node(term).op != Op::kCooperation) return leaf(term, 1);
+    if (!composite(arena, term)) return leaf(term, 1);
+    // Copies: leaf() interns derivatives, which may grow the arena.
+    const ProcessNode node = arena.node(term);
+    const std::vector<ActionId>& set = node.action_set;
 
-    const std::vector<ActionId> set = arena.node(term).action_set;
+    if (node.op == Op::kHiding) {
+      TreeNode hiding;
+      hiding.hidden = set;
+      hiding.children.push_back(build_node(node.left));
+      tree.push_back(std::move(hiding));
+      return static_cast<std::uint32_t>(tree.size() - 1);
+    }
 
     TreeNode internal;
     internal.coop_set = set;
@@ -135,7 +191,7 @@ struct VectorForm::Builder {
       std::vector<std::pair<ProcessId, std::size_t>> counted;
       gather_counted(term, set, counted);
       for (const auto& [part, count] : counted) {
-        if (arena.node(part).op == Op::kCooperation) {
+        if (composite(arena, part)) {
           for (std::size_t i = 0; i < count; ++i) {
             internal.children.push_back(build_node(part));
           }
@@ -149,9 +205,8 @@ struct VectorForm::Builder {
       std::vector<ProcessId> parts;
       gather(arena, term, set, parts);
       for (ProcessId part : parts) {
-        internal.children.push_back(
-            arena.node(part).op == Op::kCooperation ? build_node(part)
-                                                    : leaf(part, 1));
+        internal.children.push_back(composite(arena, part) ? build_node(part)
+                                                           : leaf(part, 1));
       }
     }
     if (internal.children.size() == 1) return internal.children.front();
@@ -159,48 +214,26 @@ struct VectorForm::Builder {
     return static_cast<std::uint32_t>(tree.size() - 1);
   }
 
-  /// Breadth-first closure of one sequential component's derivative set.
+  /// One counted group over the local derivative set of `term`.
   std::uint32_t leaf(ProcessId term, std::size_t count) {
     const ProcessArena& arena = semantics.arena();
-    {
-      std::unordered_set<ProcessId> seen;
-      if (contains_composition(arena, term, seen)) {
-        throw util::ModelError(
-            "vector form: hiding or choice over a composition cannot be "
-            "represented as a sequential component");
-      }
-    }
+    LocalStates closure = local_states(semantics, {&term, 1}, options);
 
     Group group;
     group.initial = term;
     group.count = count;
-    std::unordered_map<ProcessId, std::uint32_t> index;
-    index.emplace(term, 0);
-    group.states.push_back(term);
+    group.states = std::move(closure.states);
 
     std::vector<RawTransition> local;
-    std::vector<std::vector<std::uint32_t>> slots;
-    for (std::size_t si = 0; si < group.states.size(); ++si) {
-      const ProcessId state = group.states[si];
-      slots.emplace_back();
-      for (const Derivative& d : semantics.derivatives(state)) {
-        auto [it, fresh] =
-            index.try_emplace(d.target,
-                              static_cast<std::uint32_t>(group.states.size()));
-        if (fresh) {
-          if (group.states.size() >= options.max_local_states) {
-            throw util::BudgetError(util::msg(
-                "vector form: local derivative set exceeds ",
-                options.max_local_states,
-                " states; the component is not a small sequential process"));
-          }
-          group.states.push_back(d.target);
-        }
+    std::vector<std::vector<std::uint32_t>> slots(group.states.size());
+    for (std::uint32_t si = 0; si < group.states.size(); ++si) {
+      for (const Derivative& d : semantics.derivatives(group.states[si])) {
+        const std::uint32_t target = closure.index.at(d.target);
         // Merge multiplicity: parallel (s, a, s') activities sum their
         // rates (the apparent-rate convention of the semantics cache).
         std::uint32_t slot = 0;
         while (slot < local.size() &&
-               !(local[slot].source == si && local[slot].target == it->second &&
+               !(local[slot].source == si && local[slot].target == target &&
                  local[slot].action == d.action)) {
           ++slot;
         }
@@ -212,8 +245,8 @@ struct VectorForm::Builder {
           }
           local[slot].rate += d.rate.value();
         } else {
-          local.push_back({static_cast<std::uint32_t>(si), it->second,
-                           d.action, d.rate.value(), d.rate.is_passive()});
+          local.push_back({si, target, d.action, d.rate.value(),
+                           d.rate.is_passive()});
         }
         slots[si].push_back(slot);
       }
@@ -221,7 +254,7 @@ struct VectorForm::Builder {
 
     raw.push_back(std::move(local));
     derivative_raw.push_back(std::move(slots));
-    local_index.push_back(std::move(index));
+    local_index.push_back(std::move(closure.index));
     groups.push_back(std::move(group));
     TreeNode node;
     node.group = static_cast<std::int32_t>(groups.size() - 1);
@@ -285,6 +318,14 @@ VectorForm VectorForm::build(Semantics& semantics, ProcessId system,
                          t.action) -
         form.actions_.begin());
   }
+  form.labels_ = form.actions_;
+  const bool hides = std::any_of(
+      form.tree_.begin(), form.tree_.end(),
+      [](const TreeNode& node) { return node.hidden.has_value(); });
+  if (hides &&
+      !std::binary_search(form.labels_.begin(), form.labels_.end(), kTau)) {
+    form.labels_.insert(form.labels_.begin(), kTau);
+  }
   return form;
 }
 
@@ -330,8 +371,8 @@ struct VectorForm::Walker {
     std::vector<std::pair<std::uint32_t, std::uint32_t>> hops;
   };
 
-  const std::string& name(std::uint32_t slot) const {
-    return form.arena_->action_name(form.actions_[slot]);
+  const std::string& name(ActionId action) const {
+    return form.arena_->action_name(action);
   }
 
   Rate scaled(std::uint32_t transition) const {
@@ -341,33 +382,46 @@ struct VectorForm::Walker {
   }
 
   template <typename Visit>
-  void offered(const Group& group, std::uint32_t slot, Visit&& visit) const {
+  void offered(const Group& group, ActionId action, Visit&& visit) const {
     const std::uint32_t end = group.first_transition + group.transition_count;
     for (std::uint32_t t = group.first_transition; t < end; ++t) {
       const LocalTransition& lt = form.transitions_[t];
-      if (lt.action_slot == slot && counts[lt.source] != 0) visit(t, lt);
+      if (lt.action == action && counts[lt.source] != 0) visit(t, lt);
     }
   }
 
-  /// Apparent rate of the action in `slot` at `node`: sums over
-  /// independent cooperands, the minimum over synchronised ones — the
-  /// recursion of Semantics::apparent_rate, raising its mixing errors.
-  Rate apparent(std::uint32_t node, std::uint32_t slot) const {
+  /// Apparent rate of `action` at `node`: sums over independent
+  /// cooperands, the minimum over synchronised ones, and at a hiding node
+  /// tau aggregates the hidden actions — the recursion of
+  /// Semantics::apparent_rate, raising its mixing errors.
+  Rate apparent(std::uint32_t node, ActionId action) const {
     const TreeNode& n = form.tree_[node];
     Rate result;
     if (n.group >= 0) {
-      offered(form.groups_[n.group], slot,
+      offered(form.groups_[n.group], action,
               [&](std::uint32_t t, const LocalTransition&) {
-                result = result.plus(scaled(t), name(slot));
+                result = result.plus(scaled(t), name(action));
               });
       return result;
     }
-    const bool shared = set_contains(n.coop_set, form.actions_[slot]);
+    if (n.hidden) {
+      const std::uint32_t child = n.children.front();
+      if (action != kTau) {
+        return set_contains(*n.hidden, action) ? Rate()
+                                               : apparent(child, action);
+      }
+      result = apparent(child, kTau);
+      for (const ActionId hidden : *n.hidden) {
+        result = result.plus(apparent(child, hidden), name(kTau));
+      }
+      return result;
+    }
+    const bool shared = set_contains(n.coop_set, action);
     bool first = true;
     for (const std::uint32_t child : n.children) {
-      const Rate part = apparent(child, slot);
+      const Rate part = apparent(child, action);
       if (!shared) {
-        result = result.plus(part, name(slot));
+        result = result.plus(part, name(action));
       } else {
         result = first ? part : Rate::min(result, part);
       }
@@ -376,30 +430,44 @@ struct VectorForm::Walker {
     return result;
   }
 
-  /// Joint moves of the action in `slot` below `node`: independent
-  /// cooperands interleave, synchronised ones combine one move each at
-  /// pepa::cooperation_rate.
-  std::vector<Partial> enumerate(std::uint32_t node, std::uint32_t slot) const {
+  /// Joint moves of `action` below `node`: independent cooperands
+  /// interleave, synchronised ones combine one move each at
+  /// pepa::cooperation_rate, and a hiding node's tau moves are its child's
+  /// tau moves followed by those of each hidden action.
+  std::vector<Partial> enumerate(std::uint32_t node, ActionId action) const {
     const TreeNode& n = form.tree_[node];
     std::vector<Partial> out;
     if (n.group >= 0) {
-      offered(form.groups_[n.group], slot,
+      offered(form.groups_[n.group], action,
               [&](std::uint32_t t, const LocalTransition& lt) {
                 out.push_back({scaled(t), {{lt.source, lt.target}}});
               });
       return out;
     }
-    const bool shared = set_contains(n.coop_set, form.actions_[slot]);
+    if (n.hidden) {
+      const std::uint32_t child = n.children.front();
+      if (action != kTau) {
+        if (set_contains(*n.hidden, action)) return out;
+        return enumerate(child, action);
+      }
+      out = enumerate(child, kTau);
+      for (const ActionId hidden : *n.hidden) {
+        std::vector<Partial> part = enumerate(child, hidden);
+        std::move(part.begin(), part.end(), std::back_inserter(out));
+      }
+      return out;
+    }
+    const bool shared = set_contains(n.coop_set, action);
     Rate out_apparent;
     bool first = true;
     for (const std::uint32_t child : n.children) {
-      std::vector<Partial> part = enumerate(child, slot);
+      std::vector<Partial> part = enumerate(child, action);
       if (!shared) {
         std::move(part.begin(), part.end(), std::back_inserter(out));
         continue;
       }
       if (part.empty()) return {};
-      const Rate part_apparent = apparent(child, slot);
+      const Rate part_apparent = apparent(child, action);
       if (first) {
         out = std::move(part);
         out_apparent = part_apparent;
@@ -411,7 +479,7 @@ struct VectorForm::Walker {
       for (const Partial& left : out) {
         for (const Partial& right : part) {
           Partial move{cooperation_rate(left.rate, out_apparent, right.rate,
-                                        part_apparent, name(slot)),
+                                        part_apparent, name(action)),
                        left.hops};
           move.hops.insert(move.hops.end(), right.hops.begin(),
                            right.hops.end());
@@ -437,6 +505,9 @@ struct VectorForm::Walker {
     if (n.group >= 0) {
       replicas(form.groups_[n.group], operands);
       return fold(*form.arena_, operands, {});
+    }
+    if (n.hidden) {
+      return form.arena_->hiding(term(n.children.front()), *n.hidden);
     }
     for (const std::uint32_t child : n.children) {
       const std::int32_t group = form.tree_[child].group;
@@ -480,6 +551,11 @@ struct VectorForm::Walker {
         ++out[*c];
       }
       return true;
+    }
+    if (n.hidden) {
+      const ProcessNode& hiding = arena.node(term);
+      return hiding.op == Op::kHiding && hiding.action_set == *n.hidden &&
+             match(n.children.front(), hiding.left, out);
     }
     gather(arena, term, n.coop_set, operands);
     // A counted leaf directly under an empty-set node takes `count` of the
@@ -529,9 +605,9 @@ std::vector<CountMove> VectorForm::moves(
                 local_rates.size() == transitions_.size());
   const Walker walker{*this, counts, local_rates};
   std::vector<CountMove> out;
-  for (std::uint32_t slot = 0; slot < actions_.size(); ++slot) {
+  for (const ActionId action : labels_) {
     const std::size_t first = out.size();
-    for (Walker::Partial& move : walker.enumerate(root_, slot)) {
+    for (Walker::Partial& move : walker.enumerate(root_, action)) {
       CountVector target(counts.begin(), counts.end());
       for (const auto& [source, destination] : move.hops) {
         CHOREO_ASSERT(target[source] > 0);
@@ -546,9 +622,9 @@ std::vector<CountMove> VectorForm::moves(
                    existing.target == target;
           });
       if (same != out.end()) {
-        same->rate = same->rate.plus(move.rate, walker.name(slot));
+        same->rate = same->rate.plus(move.rate, walker.name(action));
       } else {
-        out.push_back({std::move(target), actions_[slot], move.rate});
+        out.push_back({std::move(target), action, move.rate});
       }
     }
   }

@@ -2,9 +2,10 @@
 // interleaving cooperating components into one global state space, the
 // system equation is read as a static cooperation tree whose leaves are
 // sequential components.  Identical replicas composed over the empty
-// cooperation set are merged into one *group* with a count, and the model
-// state becomes a vector of occupancy counts over the groups' local
-// derivative sets.
+// cooperation set are merged into one *group* with a count, a hiding over a
+// composition is a tree node carrying its hiding set, and the model state
+// becomes a vector of occupancy counts over the groups' local derivative
+// sets.
 //
 // This header holds the structural half of the representation and its
 // exact dynamics: the count-vector moves behind quotient-direct derivation
@@ -14,9 +15,10 @@
 // structure lives in fluid/vector_form.hpp.
 //
 // Everything here is derived directly from pepa::Semantics — local
-// derivative sets come from a per-component breadth-first closure, never
-// from the exponential global interleaving — so construction cost is
-// independent of the population size.
+// derivative sets come from a per-component breadth-first closure
+// (local_states, which PEPA-net token classes share), never from the
+// exponential global interleaving — so construction cost is independent of
+// the population size.
 #pragma once
 
 #include <cstdint>
@@ -57,16 +59,36 @@ struct Group {
 };
 
 /// Static cooperation structure over the groups: leaves reference groups,
-/// internal nodes carry the cooperation set.  Chains of cooperations over
-/// the same action set are flattened (min and + are associative), so a
-/// left-deep fold of N replicas becomes one node with one counted leaf.
-/// Nodes are stored children-first: a forward scan visits every child
-/// before its parent.
+/// cooperation nodes carry the cooperation set, hiding nodes the hiding
+/// set.  Chains of cooperations over the same action set are flattened
+/// (min and + are associative), so a left-deep fold of N replicas becomes
+/// one node with one counted leaf.  Nodes are stored children-first: a
+/// forward scan visits every child before its parent.
 struct TreeNode {
   std::int32_t group = -1;               ///< >= 0: leaf, index into groups()
   std::vector<std::uint32_t> children;   ///< internal node only
-  std::vector<ActionId> coop_set;        ///< internal node only (sorted)
+  std::vector<ActionId> coop_set;        ///< cooperation node only (sorted)
+  /// Hiding node only: the hiding set (sorted) over its one child, whose
+  /// activities of these types appear as tau above the node.
+  std::optional<std::vector<ActionId>> hidden;
 };
+
+/// The local derivative set of a sequential component: `seeds` first, in
+/// order, then every term reachable through Semantics::derivatives,
+/// breadth-first.
+struct LocalStates {
+  std::vector<ProcessId> states;
+  std::unordered_map<ProcessId, std::uint32_t> index;  ///< term -> position
+};
+
+/// The closure behind every vector-form group, also used for the token
+/// types of counted PEPA-net cell classes.  Throws util::ModelError when a
+/// seed contains a composition (hiding or choice over one cannot be a
+/// sequential component) and util::BudgetError beyond
+/// options.max_local_states.
+LocalStates local_states(Semantics& semantics,
+                         std::span<const ProcessId> seeds,
+                         const VectorFormOptions& options);
 
 /// A state of the count-vector chain: replicas per local derivative,
 /// indexed like the population vector.
@@ -88,9 +110,9 @@ struct CountMove {
 class VectorForm {
  public:
   /// Derives the vector form of `system`.  Throws util::ModelError when the
-  /// term cannot be represented (hiding or choice over a composition, an
-  /// action offered both actively and passively by one local transition)
-  /// and util::BudgetError when a local derivative set exceeds the bound.
+  /// term cannot be represented (choice over a composition, an action
+  /// offered both actively and passively by one local transition) and
+  /// util::BudgetError when a local derivative set exceeds the bound.
   static VectorForm build(Semantics& semantics, ProcessId system,
                           const VectorFormOptions& options = {});
 
@@ -123,10 +145,11 @@ class VectorForm {
   /// `local_rates` (one per transitions() entry) in place of the local
   /// transitions' own rates.  Mirrors the cooperation semantics of
   /// pepa::Semantics on counted groups: a group with x[s] replicas in local
-  /// state s offers its transitions at x[s]-scaled rates, and shared
-  /// actions combine one move per cooperand with pepa::cooperation_rate
-  /// against the cooperands' apparent rates.  Deterministic: the order
-  /// depends on `counts` and the structure only, never on rate values.
+  /// state s offers its transitions at x[s]-scaled rates, shared actions
+  /// combine one move per cooperand with pepa::cooperation_rate against the
+  /// cooperands' apparent rates, and a hiding node relabels its hidden
+  /// actions to tau.  Deterministic: the order depends on `counts` and the
+  /// structure only, never on rate values.
   std::vector<CountMove> moves(std::span<const std::uint32_t> counts,
                                std::span<const double> local_rates) const;
 
@@ -140,13 +163,13 @@ class VectorForm {
 
   /// A representative term of `counts`: the system equation with every
   /// counted group unfolded into its replicas (balanced over the empty
-  /// set).  Interns into the model's arena.
+  /// set) and every hiding node wrapped around its child's term.  Interns
+  /// into the model's arena.
   ProcessId term_of(std::span<const std::uint32_t> counts) const;
 
   /// The count vector of any term of the model — the derivation's own
-  /// terms or a permutation of same-set cooperands (e.g. a
-  /// pepa::Canonicalizer representative) — or nullopt when `term` does not
-  /// fit the cooperation tree.
+  /// terms or a permutation of same-set cooperands — or nullopt when
+  /// `term` does not fit the cooperation tree.
   std::optional<CountVector> counts_of(ProcessId term) const;
 
  private:
@@ -158,6 +181,9 @@ class VectorForm {
   std::vector<Group> groups_;
   std::vector<LocalTransition> transitions_;
   std::vector<ActionId> actions_;
+  /// Actions a move at the root can carry: actions_, plus tau when a
+  /// hiding node relabels to it; sorted by id.
+  std::vector<ActionId> labels_;
   std::vector<TreeNode> tree_;
   std::uint32_t root_ = 0;
   std::size_t dimension_ = 0;

@@ -11,8 +11,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "ctmc/generator.hpp"
@@ -46,14 +48,20 @@ struct NetDeriveOptions {
   /// Resource governor: cancellation, deadline and marking/byte accounting,
   /// checked once per breadth-first level (see pepa::DeriveOptions::budget).
   util::Budget* budget = nullptr;
-  /// Derive the marking-graph quotient directly: markings are rewritten to
-  /// canonical representatives (interchangeable slots of same-cooperation
-  /// spines sorted, slot terms sort-canonicalized — see
-  /// pepanet/netcanonical.hpp) before interning, so symmetric markings
-  /// collapse at discovery time and max_markings, the budget accounting and
-  /// peak memory cover the quotient only.  Throughputs and the place/token
-  /// measures are permutation-invariant and stay exact; the quotient is
-  /// byte-identical at every lane count.
+  /// Derive the marking-graph quotient directly, by the rule of
+  /// pepa::DeriveOptions::aggregate: count tokens when some cell class
+  /// holds two or more cells — a class is the cells of one token type
+  /// among the siblings of one equal-set spine of a place's cooperation
+  /// fold, which are interchangeable — and the token type's local
+  /// derivative set builds (pepa::local_states).  A stored marking then
+  /// lists each class's tokens in local-index order, vacant cells last, so
+  /// it is the class's count vector written as a marking, and moves into
+  /// one (target, action, kind, net transition, place) merge with their
+  /// rates summed.  max_markings, the budget accounting and peak memory
+  /// cover the quotient only.  Otherwise the full marking graph is derived
+  /// (and still reported as aggregated()).  Throughputs and the
+  /// place/token measures are permutation-invariant and stay exact; the
+  /// quotient is byte-identical at every lane count.
   bool aggregate = false;
 };
 
@@ -78,6 +86,9 @@ class NetStateSpace {
 
   std::size_t marking_count() const noexcept { return markings_.size(); }
   const Marking& marking(std::size_t index) const { return markings_[index]; }
+  /// The state of any marking of the net: on counted graphs the marking is
+  /// arranged first, so every permutation of a class's tokens finds its
+  /// block.
   std::optional<std::size_t> index_of(const Marking& marking) const;
 
   /// The CSR-indexed marking-graph transition system.
@@ -93,7 +104,8 @@ class NetStateSpace {
   /// Counters from the derivation that produced this graph.
   const DeriveStats& stats() const noexcept { return stats_; }
 
-  /// True when derived quotient-direct (NetDeriveOptions::aggregate).
+  /// True when derived with NetDeriveOptions::aggregate (counted or, when
+  /// no cell class exists, the full graph).
   bool aggregated() const noexcept { return aggregated_; }
 
   ctmc::Generator generator() const;
@@ -112,6 +124,24 @@ class NetStateSpace {
   explore::TransitionSystem<MarkingTransition> lts_;
   DeriveStats stats_;
   bool aggregated_ = false;
+
+  /// Counted graphs: 2+ interchangeable cells whose tokens every stored
+  /// marking lists in local-index order, vacant cells last.
+  struct CellClass {
+    TokenTypeId type;
+    std::vector<std::size_t> offsets;  ///< into the marking vector
+  };
+  std::vector<CellClass> classes_;
+  /// Per token type with a class: local derivative -> local index.
+  std::vector<std::unordered_map<pepa::ProcessId, std::uint32_t>> local_index_;
+
+  /// Finds the cell classes of `net` and their token types' local
+  /// derivative sets, seeded by the cell contents of `initial`; leaves
+  /// classes_ empty when there is none or a set does not build.
+  void count_tokens(NetSemantics& semantics, const Marking& initial);
+  /// Lists every class's tokens of `marking` in local-index order; false
+  /// when a token lies outside its type's local derivative set.
+  bool arrange(Marking& marking) const;
 };
 
 /// Steady-state throughput of an action over the marking graph.

@@ -200,10 +200,6 @@ struct Scheduler::Impl {
             "choreo_aggregate_blocks",
             "Largest strong-equivalence quotient (block count) any "
             "exact-aggregation job derived")),
-        aggregate_rewrites_total(registry.counter(
-            "choreo_aggregate_rewrites_total",
-            "Successor states rewritten to canonical representatives by "
-            "quotient-direct derivations")),
         fluid_fallbacks_total(registry.counter(
             "choreo_fluid_fallbacks_total",
             "Retries that downgraded a job to the fluid (ODE) backend")),
@@ -269,7 +265,6 @@ struct Scheduler::Impl {
   Counter& interrupted_in_stage_total;
   Gauge& budget_peak_state_bytes;
   Gauge& aggregate_blocks;
-  Counter& aggregate_rewrites_total;
   Counter& fluid_fallbacks_total;
   Counter& fluid_steps_total;
   Counter& fluid_rejected_steps_total;
@@ -491,13 +486,9 @@ void Scheduler::Impl::execute(const std::shared_ptr<JobState>& state,
     peak_frontier.record_max(
         static_cast<std::int64_t>(stages.derive_stats.peak_frontier));
     if (result.aggregation_used == chor::Aggregation::kExact) {
-      // Quotient-direct derivation: dedup_misses IS the block count, and
-      // the rewrite counter evidences on-the-fly collapsing (dividing the
-      // two out of a dashboard gives the reduction pressure per job).
+      // Quotient-direct derivation: dedup_misses IS the block count.
       aggregate_blocks.record_max(
           static_cast<std::int64_t>(stages.derive_stats.dedup_misses));
-      aggregate_rewrites_total.increment(
-          stages.derive_stats.canonical_rewrites);
     }
     if (stages.fluid_steps > 0 || stages.fluid_rejected_steps > 0) {
       fluid_steps_total.increment(stages.fluid_steps);

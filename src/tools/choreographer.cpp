@@ -215,6 +215,8 @@ struct ModelSpace {
   static constexpr const char* kSpace = "state space";
   static constexpr const char* kState = "state";
   static constexpr const char* kGraph = "derivation graph";
+  static constexpr const char* kFolded =
+      "replica(s) folded into counted groups";
   pepa::Model model;
   pepa::Semantics semantics{model.arena()};
   pepa::StateSpace space;
@@ -226,7 +228,6 @@ struct ModelSpace {
             derive_options<pepa::DeriveOptions>(job, budget))) {}
   const pepa::ProcessArena& arena() const { return model.arena(); }
   std::size_t size() const { return space.state_count(); }
-  bool counted() const { return space.vector_form() != nullptr; }
   std::string describe(std::size_t s) const {
     return pepa::to_string(model.arena(), space.state_term(s));
   }
@@ -246,6 +247,7 @@ struct NetSpace {
   static constexpr const char* kSpace = "marking graph";
   static constexpr const char* kState = "marking";
   static constexpr const char* kGraph = "marking graph";
+  static constexpr const char* kFolded = "token(s) folded";
   pepanet::ParsedNet parsed;
   pepanet::NetSemantics semantics{parsed.net};
   pepanet::NetStateSpace space;
@@ -256,7 +258,6 @@ struct NetSpace {
             semantics, derive_options<pepanet::NetDeriveOptions>(job, budget))) {}
   const pepa::ProcessArena& arena() const { return parsed.net.arena(); }
   std::size_t size() const { return space.marking_count(); }
-  bool counted() const { return false; }
   std::string describe(std::size_t m) const {
     return pepanet::marking_to_string(parsed.net, space.marking(m));
   }
@@ -284,13 +285,9 @@ int solve(const Job& job, const Space& s, util::Budget* budget) {
             << s.size() << ' ' << Space::kState << "s, "
             << s.space.transitions().size() << " transitions (derived in "
             << stats.seconds * 1e3 << " ms)\n";
-  if (s.counted()) {
+  if (stats.collapsed_replicas != 0) {
     std::cout << "quotient-direct derivation: count vectors, "
-              << stats.collapsed_replicas
-              << " replica(s) folded into counted groups\n";
-  } else if (quotient) {
-    std::cout << "quotient-direct derivation: " << stats.canonical_rewrites
-              << " successor(s) rewritten to canonical representatives\n";
+              << stats.collapsed_replicas << ' ' << Space::kFolded << '\n';
   }
   if (const auto deadlocks = s.deadlocks(); !deadlocks.empty()) {
     std::cout << "warning: " << deadlocks.size() << " deadlock "

@@ -1,14 +1,15 @@
 // Tests for quotient-direct derivation (DeriveOptions::aggregate): the
-// exploration engine explores count vectors (replicated PEPA models) or
-// canonicalizes every successor before interning (the rest, and PEPA
-// nets), so the explored space *is* a strong-equivalence quotient.  The post-hoc
-// lumping (pepa::aggregate / pepanet::aggregate) acts as the correctness
-// oracle throughout: block counts must agree exactly, the canonical map
-// must induce the same partition as the coarsest labelled lumping, and
-// quotient steady states must match block-aggregated full distributions
-// to 1e-9.  The families' closed-form quotient sizes pin the counts, and
-// the acceptance test shows a quotient derivation completing under state
-// and byte budgets the full chain provably exceeds.
+// exploration engine explores count vectors — replicated PEPA groups, or
+// the tokens of interchangeable PEPA-net cells — so the explored space *is*
+// a strong-equivalence quotient; models with nothing to count derive the
+// full chain.  The post-hoc lumping (pepa::aggregate / pepanet::aggregate)
+// acts as the correctness oracle throughout: block counts must agree
+// exactly, the map from full states to quotient states must induce the
+// same partition as the coarsest labelled lumping, and quotient steady
+// states must match block-aggregated full distributions to 1e-9.  The
+// families' closed-form quotient sizes pin the counts, and the acceptance
+// test shows a quotient derivation completing under state and byte budgets
+// the full chain provably exceeds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 
 #include "ctmc/steady_state.hpp"
 #include "pepa/aggregate.hpp"
-#include "pepa/canonical.hpp"
 #include "pepa/families.hpp"
 #include "pepa/measures.hpp"
 #include "pepa/parser.hpp"
@@ -32,7 +32,7 @@
 #include "pepa/statespace.hpp"
 #include "pepanet/net.hpp"
 #include "pepanet/netaggregate.hpp"
-#include "pepanet/netcanonical.hpp"
+#include "pepanet/net_parser.hpp"
 #include "pepanet/netsemantics.hpp"
 #include "pepanet/netstatespace.hpp"
 #include "sweep/runner.hpp"
@@ -51,7 +51,7 @@ namespace cn = choreo::pepanet;
 /// one shared arena, then checks the tentpole invariants:
 ///  - the quotient state count equals the coarsest labelled lumping's
 ///    block count on the full space (the post-hoc oracle);
-///  - the canonical map (full state -> canonical term -> quotient index)
+///  - the quotient map (full state -> quotient.index_of of its term)
 ///    induces *exactly* the oracle's partition, not merely one of equal
 ///    size;
 ///  - the block-aggregated full steady state equals the quotient steady
@@ -70,15 +70,14 @@ void expect_quotient_matches_oracle(cp::Model& model) {
   const cc::LabelledLumping oracle = cp::aggregate(full);
   ASSERT_EQ(quotient.state_count(), oracle.block_count);
 
-  // The canonical map must refine-and-equal the coarsest partition: two
-  // full states share an oracle block iff they canonicalize to the same
-  // quotient state.
-  cp::Canonicalizer canonicalizer(model.arena());
+  // The quotient map must refine-and-equal the coarsest partition: two
+  // full states share an oracle block iff they map to the same quotient
+  // state.
   std::vector<std::size_t> quotient_of(full.state_count());
   std::map<std::size_t, std::set<std::size_t>> blocks_hit;
   for (std::size_t i = 0; i < full.state_count(); ++i) {
-    const auto index = quotient.index_of(canonicalizer.canonical(full.state_term(i)));
-    ASSERT_TRUE(index.has_value()) << "canonical form of full state " << i
+    const auto index = quotient.index_of(full.state_term(i));
+    ASSERT_TRUE(index.has_value()) << "full state " << i
                                    << " missing from the quotient space";
     quotient_of[i] = *index;
     blocks_hit[*index].insert(oracle.block_of[i]);
@@ -148,8 +147,8 @@ TEST(QuotientPepa, PdaHandoverMatchesClosedFormAndOracle) {
 
 TEST(QuotientPepa, RingIsTheNoCollapseControl) {
   // Ring stations carry distinct per-station action types: nothing is
-  // exchangeable, so canonicalization must not merge anything and the
-  // quotient equals the full space.
+  // exchangeable, so there is nothing to count and the quotient is the
+  // full space.
   cp::Model model = cp::ring(4);
   cp::Semantics semantics(model.arena());
   const auto full = cp::StateSpace::derive(semantics, model.system());
@@ -163,10 +162,10 @@ TEST(QuotientPepa, RingIsTheNoCollapseControl) {
 }
 
 TEST(QuotientPepa, ByteIdenticalAcrossLaneCounts) {
-  // Count vectors and canonical representatives are chosen by structure,
-  // never by interning order, so the quotient (states *and* transitions) is
-  // identical at every lane count.  Fresh models per lane: nothing can
-  // leak through a shared arena.
+  // Count vectors are chosen by structure, never by interning order, so
+  // the quotient (states *and* transitions) is identical at every lane
+  // count.  Fresh models per lane: nothing can leak through a shared
+  // arena.
   using Rendered = std::pair<std::vector<std::string>,
                              std::vector<std::tuple<std::size_t, std::size_t,
                                                     std::uint32_t, double>>>;
@@ -198,21 +197,35 @@ TEST(QuotientPepa, ByteIdenticalAcrossLaneCounts) {
     params.transmitters = 6;
     return cp::pda_handover(30, params);
   };
+  const std::function<cp::Model()> hidden = [] {
+    return cp::parse_model(R"(
+      P = (a, 2.0).P1;
+      P1 = (b, 1.0).P2;
+      P2 = (c, 0.5).P;
+      S = (b, 3.0).S1;
+      S1 = (d, 4.0).S;
+      System = ((P || P || P || P || P || P)/{a, c}) <b> (S || S);
+      @system System;
+    )");
+  };
   const Rendered clients = render(client_server, 1);
   EXPECT_EQ(clients.first.size(), cp::client_server_quotient_states(5, 3));
   const Rendered pdas = render(pda_handover, 1);
   EXPECT_EQ(pdas.first.size(), cp::pda_handover_quotient_states(30, 6));
-  for (const std::size_t lanes : {4u, 8u}) {
+  const Rendered hiddens = render(hidden, 1);
+  EXPECT_EQ(hiddens.first.size(), 28u * 3u);  // C(6+2, 2) x C(2+1, 1)
+  for (const std::size_t lanes : {2u, 4u, 8u}) {
     EXPECT_EQ(render(client_server, lanes), clients) << lanes << " lanes";
     EXPECT_EQ(render(pda_handover, lanes), pdas) << lanes << " lanes";
+    EXPECT_EQ(render(hidden, lanes), hiddens) << lanes << " lanes";
   }
 }
 
 TEST(QuotientPepa, TransitionsScaleWithTheQuotient) {
   // Count-vector states merge the replicas' parallel moves into one
   // transition per (target, action): the stored transitions track the
-  // block count, not the replica count (sort-canonical terms kept one
-  // transition per replica move: 52,920 and 43,540 here).
+  // block count, not the replica count (one transition per replica move
+  // would be 52,920 and 43,540 here).
   auto derive = [](cp::Model model) {
     cp::Semantics semantics(model.arena());
     cp::DeriveOptions options;
@@ -345,50 +358,59 @@ TEST(QuotientPepa, CompletesUnderBudgetTheFullChainExceeds) {
   }
 }
 
-TEST(QuotientPepa, CanonicalizerIsIdempotentAndOrderInvariant) {
-  cp::Model model;
-  cp::ProcessArena& arena = model.arena();
-  const auto tick = arena.action("tick");
-  auto cyclic = [&](const char* name, double rate) {
-    const auto id = arena.declare(name);
-    arena.define(id, arena.prefix(tick, cp::Rate::active(rate),
-                                  arena.constant(id)));
-    return arena.constant(id);
-  };
-  const auto a = cyclic("A", 1.0);
-  const auto b = cyclic("B", 2.0);
-  const auto c = cyclic("C", 3.0);
+TEST(QuotientPepa, HiddenPopulationKeepsItsCountVectorQuotient) {
+  // A hiding over a composition is a vector-form node carrying its hiding
+  // set: the three hidden replicas still fold into one counted group (4
+  // blocks: how many sit in P1), their hidden moves appear as tau, and the
+  // quotient passes the oracle.
+  cp::Model model = cp::parse_model(R"(
+    P = (a, 2.0).P1;
+    P1 = (b, 1.0).P;
+    System = (P || P || P)/{a};
+    @system System;
+  )");
+  {
+    cp::Semantics semantics(model.arena());
+    cp::DeriveOptions options;
+    options.aggregate = true;
+    const auto quotient =
+        cp::StateSpace::derive(semantics, model.system(), options);
+    ASSERT_NE(quotient.vector_form(), nullptr);
+    EXPECT_EQ(quotient.state_count(), 4u);
+    EXPECT_EQ(quotient.stats().collapsed_replicas, 2u);
+    for (const auto& t : quotient.transitions()) {
+      EXPECT_NE(model.arena().action_name(t.action), "a");
+    }
+  }
+  expect_quotient_matches_oracle(model);
+}
 
-  cp::Canonicalizer canonicalizer(arena);
-  // Every bracketing and ordering of {A, B, C} over the same (empty)
-  // cooperation set canonicalizes to one representative.
-  const auto left_deep =
-      arena.cooperation(arena.cooperation(a, {}, b), {}, c);
-  const auto right_deep =
-      arena.cooperation(b, {}, arena.cooperation(c, {}, a));
-  const auto reversed =
-      arena.cooperation(arena.cooperation(c, {}, b), {}, a);
-  const auto canonical = canonicalizer.canonical(left_deep);
-  EXPECT_EQ(canonicalizer.canonical(right_deep), canonical);
-  EXPECT_EQ(canonicalizer.canonical(reversed), canonical);
-  // Idempotence: the canonical form is its own representative.
-  EXPECT_EQ(canonicalizer.canonical(canonical), canonical);
-
-  // Non-empty sets commute too, but only *matching* sets join a spine: a
-  // {tick}-cooperation nested under an empty-set one keeps its boundary.
-  const auto synced = arena.cooperation(a, {tick}, b);
-  const auto swapped = arena.cooperation(b, {tick}, a);
-  EXPECT_EQ(canonicalizer.canonical(synced), canonicalizer.canonical(swapped));
-  const auto mixed = arena.cooperation(synced, {}, c);
-  const auto mixed_swapped = arena.cooperation(c, {}, swapped);
-  EXPECT_EQ(canonicalizer.canonical(mixed),
-            canonicalizer.canonical(mixed_swapped));
-
-  // structural_compare is a strict weak order with equality on identity.
-  EXPECT_EQ(cp::structural_compare(arena, a, a), 0);
-  const int ab = cp::structural_compare(arena, a, b);
-  EXPECT_NE(ab, 0);
-  EXPECT_EQ(cp::structural_compare(arena, b, a), -ab);
+TEST(QuotientPepa, NothingToCountDerivesTheFullChain) {
+  // Synchronised identical cooperands and a replicated composite hold no
+  // group of two or more replicas over the empty set: aggregation derives
+  // the full chain (P <a> P: 4 states; (P <a> Q) || (P <a> Q): 16), which
+  // is still exact and lumps post hoc to the coarsest quotient.
+  for (const char* system : {"P <a> P", "(P <a> Q) || (P <a> Q)"}) {
+    SCOPED_TRACE(system);
+    cp::Model model = cp::parse_model(std::string(R"(
+      P = (a, 2.0).P1;
+      P1 = (b, 1.0).P;
+      Q = (a, 3.0).Q1;
+      Q1 = (c, 0.5).Q;
+      System = )") + system + ";\n@system System;\n");
+    cp::Semantics semantics(model.arena());
+    const auto full = cp::StateSpace::derive(semantics, model.system());
+    cp::DeriveOptions options;
+    options.aggregate = true;
+    const auto quotient =
+        cp::StateSpace::derive(semantics, model.system(), options);
+    EXPECT_TRUE(quotient.aggregated());
+    EXPECT_EQ(quotient.vector_form(), nullptr);
+    EXPECT_EQ(quotient.state_count(), full.state_count());
+    EXPECT_EQ(quotient.stats().collapsed_replicas, 0u);
+    EXPECT_EQ(cp::aggregate(quotient).block_count,
+              cp::aggregate(full).block_count);
+  }
 }
 
 // --- PEPA nets -------------------------------------------------------------
@@ -416,52 +438,30 @@ cn::PepaNet three_cell_net() {
 }
 
 TEST(QuotientNet, SymmetricCellsCollapseToPopulationCounts) {
-  cn::PepaNet full_net = three_cell_net();
-  cn::NetSemantics full_semantics(full_net);
-  const auto full = cn::NetStateSpace::derive(full_semantics);
+  cn::PepaNet net = three_cell_net();
+  cn::NetSemantics semantics(net);
+  const auto full = cn::NetStateSpace::derive(semantics);
   ASSERT_EQ(full.marking_count(), 8u);
 
-  cn::PepaNet quotient_net = three_cell_net();
-  cn::NetSemantics quotient_semantics(quotient_net);
   cn::NetDeriveOptions options;
   options.aggregate = true;
-  const auto quotient = cn::NetStateSpace::derive(quotient_semantics, options);
+  const auto quotient = cn::NetStateSpace::derive(semantics, options);
   EXPECT_TRUE(quotient.aggregated());
   EXPECT_EQ(quotient.marking_count(), 4u);  // 0..3 resting tokens
+  EXPECT_EQ(quotient.stats().collapsed_replicas, 2u);  // one 3-cell class
 
   const cc::LabelledLumping oracle = cn::aggregate(full);
   ASSERT_EQ(oracle.block_count, quotient.marking_count());
 
-  // Steady state through the marking-canonical map, against the quotient
-  // solve, to 1e-9 — the same oracle discipline as the PEPA side.
-  cn::MarkingCanonicalizer canonicalizer(full_net);
-  EXPECT_EQ(canonicalizer.group_count(), 1u);
+  // Steady state through the quotient map (index_of arranges any marking
+  // of the net), against the quotient solve, to 1e-9 — the same oracle
+  // discipline as the PEPA side.
   const auto pi_full = cc::steady_state(full.generator()).distribution;
   const auto pi_quotient = cc::steady_state(quotient.generator()).distribution;
   std::vector<double> aggregated(quotient.marking_count(), 0.0);
   for (std::size_t i = 0; i < full.marking_count(); ++i) {
-    cn::Marking marking = full.marking(i);
-    canonicalizer(marking);
-    // The two nets are distinct objects but share no interning, so map by
-    // rendered slot terms: canonical markings are term-for-term equal.
-    std::optional<std::size_t> target;
-    for (std::size_t j = 0; j < quotient.marking_count(); ++j) {
-      const cn::Marking& candidate = quotient.marking(j);
-      bool equal = candidate.size() == marking.size();
-      for (std::size_t s = 0; equal && s < marking.size(); ++s) {
-        const bool vacant_a = marking[s] == cn::kVacant;
-        const bool vacant_b = candidate[s] == cn::kVacant;
-        equal = vacant_a == vacant_b &&
-                (vacant_a ||
-                 cp::to_string(full_net.arena(), marking[s]) ==
-                     cp::to_string(quotient_net.arena(), candidate[s]));
-      }
-      if (equal) {
-        target = j;
-        break;
-      }
-    }
-    ASSERT_TRUE(target.has_value()) << "canonical marking " << i
+    const auto target = quotient.index_of(full.marking(i));
+    ASSERT_TRUE(target.has_value()) << "marking " << i
                                     << " missing from quotient graph";
     aggregated[*target] += pi_full[i];
   }
@@ -469,11 +469,9 @@ TEST(QuotientNet, SymmetricCellsCollapseToPopulationCounts) {
     EXPECT_NEAR(aggregated[b], pi_quotient[b], 1e-9) << "block " << b;
   }
 
-  const auto work = *full_net.arena().find_action("work");
-  const auto quotient_work = *quotient_net.arena().find_action("work");
+  const auto work = *net.arena().find_action("work");
   EXPECT_NEAR(cn::action_throughput(full, pi_full, work),
-              cn::action_throughput(quotient, pi_quotient, quotient_work),
-              1e-9);
+              cn::action_throughput(quotient, pi_quotient, work), 1e-9);
 }
 
 /// Two tokens hopping between two 2-cell places with a local work cycle:
@@ -514,7 +512,7 @@ TEST(QuotientNet, FiringMovesAgreeWithPostHocOracle) {
   options.aggregate = true;
   const auto quotient = cn::NetStateSpace::derive(quotient_semantics, options);
 
-  // The canonical map collapses cell permutations *within* each place;
+  // Token counts collapse cell permutations *within* each place;
   // this net additionally has a p <-> q exchange symmetry only the global
   // coarsest lumping can see.  So the on-the-fly quotient sits strictly
   // between: a sound refinement of the coarsest partition, strictly
@@ -525,7 +523,7 @@ TEST(QuotientNet, FiringMovesAgreeWithPostHocOracle) {
   EXPECT_LT(quotient.marking_count(), full.marking_count());
   EXPECT_GE(quotient.marking_count(), oracle.block_count);
   EXPECT_EQ(cn::aggregate(quotient).block_count, oracle.block_count);
-  EXPECT_GT(quotient.stats().canonical_rewrites, 0u);
+  EXPECT_GT(quotient.stats().collapsed_replicas, 0u);
 
   const auto pi_full = cc::steady_state(full.generator()).distribution;
   const auto pi_quotient = cc::steady_state(quotient.generator()).distribution;
@@ -539,12 +537,47 @@ TEST(QuotientNet, FiringMovesAgreeWithPostHocOracle) {
   }
 }
 
+TEST(QuotientNet, MergedMovesStoreNoMoreTransitionsPerBlock) {
+  // Moves into one block merge with their rates summed, so a counted graph
+  // stores no more transitions per block than the full graph stores per
+  // marking.
+  for (const auto& build : {three_cell_net, hopping_net}) {
+    cn::PepaNet net = build();
+    cn::NetSemantics semantics(net);
+    const auto full = cn::NetStateSpace::derive(semantics);
+    cn::NetDeriveOptions options;
+    options.aggregate = true;
+    const auto quotient = cn::NetStateSpace::derive(semantics, options);
+    ASSERT_LT(quotient.marking_count(), full.marking_count());
+    EXPECT_LE(quotient.transitions().size() * full.marking_count(),
+              full.transitions().size() * quotient.marking_count())
+        << quotient.transitions().size() << " transitions over "
+        << quotient.marking_count() << " blocks vs "
+        << full.transitions().size() << " over " << full.marking_count()
+        << " markings";
+  }
+}
+
 TEST(QuotientNet, MarkingGraphDeterministicAcrossLaneCounts) {
   using Rendered = std::pair<std::vector<std::string>,
                              std::vector<std::tuple<std::size_t, std::size_t,
                                                     std::uint32_t, double>>>;
-  auto render = [](std::size_t threads) -> Rendered {
-    cn::PepaNet net = hopping_net();
+  // hopping_net, and four tokens hopping round a ring of three 4-cell
+  // places (7,920 markings, 126 blocks), whose wider levels spread over
+  // the lanes.
+  auto render = [](std::size_t threads, bool ring) -> Rendered {
+    cn::PepaNet net = ring ? cn::parse_net(R"(
+      Msg = (hop, 2.0).Rest;
+      Rest = (hop, 1.0).Msg;
+      @token Msg;
+      @place ring0 { cell Msg = Msg; cell Msg = Msg; cell Msg = Rest; cell Msg; }
+      @place ring1 { cell Msg; cell Msg; cell Msg; cell Msg = Rest; }
+      @place ring2 { cell Msg; cell Msg; cell Msg; cell Msg; }
+      @transition hop (rate infty) from ring0 to ring1;
+      @transition hop (rate infty) from ring1 to ring2;
+      @transition hop (rate infty) from ring2 to ring0;
+    )").net
+                           : hopping_net();
     cn::NetSemantics semantics(net);
     cn::NetDeriveOptions options;
     options.aggregate = true;
@@ -565,9 +598,14 @@ TEST(QuotientNet, MarkingGraphDeterministicAcrossLaneCounts) {
     }
     return out;
   };
-  const Rendered lane1 = render(1);
-  EXPECT_EQ(render(2), lane1);
-  EXPECT_EQ(render(8), lane1);
+  for (const bool ring : {false, true}) {
+    const Rendered lane1 = render(1, ring);
+    if (ring) {
+      EXPECT_EQ(lane1.first.size(), 126u);
+    }
+    EXPECT_EQ(render(2, ring), lane1) << "ring " << ring;
+    EXPECT_EQ(render(8, ring), lane1) << "ring " << ring;
+  }
 }
 
 // --- design-space sweeps over the quotient ---------------------------------
