@@ -1,7 +1,9 @@
 #include "choreographer/extract_activity.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -272,10 +274,15 @@ ActivityExtraction extract_activity_graph(const uml::ActivityGraph& graph,
     };
     const auto inputs = arc_places(graph.inputs_of(id), "from");
     const auto outputs = arc_places(graph.outputs_of(id), "to");
-    const auto priority = static_cast<unsigned>(
-        node.tags.get_double("priority", 1.0));
+    const double priority = node.tags.get_double("priority", 1.0);
+    if (!(priority >= 0.0 && priority <= std::numeric_limits<unsigned>::max()) ||
+        priority != std::floor(priority)) {
+      throw util::ModelError(util::msg("priority of '", node.name,
+                                       "' must be a non-negative integer, got ",
+                                       priority));
+    }
     net.add_transition(*extraction.action_names[id], node_rate[id], inputs,
-                       outputs, priority);
+                       outputs, static_cast<unsigned>(priority));
   }
 
   // --- static components (Section 3, step 4) -------------------------------

@@ -1,5 +1,6 @@
 #include "choreographer/rates.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -39,9 +40,10 @@ RateAssignments parse_rates(std::string_view source,
       throw util::ParseError(source_name, line_number, 1,
                              util::msg("malformed rate '", value, "'"));
     }
-    if (!(rate > 0.0)) {
-      throw util::ParseError(source_name, line_number, 1,
-                             util::msg("rate must be positive, got ", rate));
+    if (!(rate > 0.0) || !std::isfinite(rate)) {
+      throw util::ParseError(
+          source_name, line_number, 1,
+          util::msg("rate must be positive and finite, got ", rate));
     }
     out.emplace_back(name, rate);
   }

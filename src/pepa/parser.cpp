@@ -1,148 +1,18 @@
 #include "pepa/parser.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "pepa/lexer.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace choreo::pepa {
 
 namespace {
-
-enum class TokenKind {
-  kIdentifier,
-  kNumber,
-  kSymbol,  // one of ( ) . , + - * / = ; < > { } | @
-  kEnd,
-};
-
-struct Token {
-  TokenKind kind = TokenKind::kEnd;
-  std::string text;
-  double number = 0.0;
-  std::size_t line = 1;
-  std::size_t column = 1;
-};
-
-class Lexer {
- public:
-  Lexer(std::string_view source, std::string source_name)
-      : source_(source), source_name_(std::move(source_name)) {
-    tokenise();
-  }
-
-  const Token& peek(std::size_t ahead = 0) const {
-    const std::size_t index = std::min(cursor_ + ahead, tokens_.size() - 1);
-    return tokens_[index];
-  }
-  const Token& next() {
-    const Token& token = tokens_[cursor_];
-    if (cursor_ + 1 < tokens_.size()) ++cursor_;
-    return token;
-  }
-  std::size_t position() const noexcept { return cursor_; }
-  void rewind(std::size_t position) { cursor_ = position; }
-
-  [[noreturn]] void fail(const Token& at, const std::string& message) const {
-    throw util::ParseError(source_name_, at.line, at.column, message);
-  }
-
- private:
-  void tokenise() {
-    std::size_t line = 1, column = 1;
-    std::size_t i = 0;
-    auto advance = [&](std::size_t count = 1) {
-      for (std::size_t k = 0; k < count; ++k) {
-        if (source_[i] == '\n') {
-          ++line;
-          column = 1;
-        } else {
-          ++column;
-        }
-        ++i;
-      }
-    };
-    while (i < source_.size()) {
-      const char c = source_[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        advance();
-        continue;
-      }
-      if (c == '/' && i + 1 < source_.size() && source_[i + 1] == '/') {
-        while (i < source_.size() && source_[i] != '\n') advance();
-        continue;
-      }
-      if (c == '%' || c == '#') {  // workbench-style line comments
-        while (i < source_.size() && source_[i] != '\n') advance();
-        continue;
-      }
-      if (c == '/' && i + 1 < source_.size() && source_[i + 1] == '*') {
-        advance(2);
-        while (i + 1 < source_.size() &&
-               !(source_[i] == '*' && source_[i + 1] == '/')) {
-          advance();
-        }
-        if (i + 1 >= source_.size()) {
-          throw util::ParseError(source_name_, line, column,
-                                 "unterminated block comment");
-        }
-        advance(2);
-        continue;
-      }
-      Token token;
-      token.line = line;
-      token.column = column;
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::size_t begin = i;
-        while (i < source_.size() &&
-               (std::isalnum(static_cast<unsigned char>(source_[i])) ||
-                source_[i] == '_')) {
-          advance();
-        }
-        token.kind = TokenKind::kIdentifier;
-        token.text = std::string(source_.substr(begin, i - begin));
-      } else if (std::isdigit(static_cast<unsigned char>(c))) {
-        std::size_t begin = i;
-        while (i < source_.size() &&
-               (std::isdigit(static_cast<unsigned char>(source_[i])) ||
-                source_[i] == '.' || source_[i] == 'e' || source_[i] == 'E' ||
-                ((source_[i] == '+' || source_[i] == '-') && i > begin &&
-                 (source_[i - 1] == 'e' || source_[i - 1] == 'E')))) {
-          advance();
-        }
-        token.kind = TokenKind::kNumber;
-        token.text = std::string(source_.substr(begin, i - begin));
-        try {
-          token.number = std::stod(token.text);
-        } catch (const std::exception&) {
-          throw util::ParseError(source_name_, token.line, token.column,
-                                 util::msg("malformed number '", token.text, "'"));
-        }
-      } else if (std::string_view("().,+-*/=;<>{}[]|@").find(c) !=
-                 std::string_view::npos) {
-        token.kind = TokenKind::kSymbol;
-        token.text = std::string(1, c);
-        advance();
-      } else {
-        throw util::ParseError(source_name_, line, column,
-                               util::msg("unexpected character '", c, "'"));
-      }
-      tokens_.push_back(std::move(token));
-    }
-    Token end;
-    end.kind = TokenKind::kEnd;
-    end.line = line;
-    end.column = column;
-    tokens_.push_back(std::move(end));
-  }
-
-  std::string_view source_;
-  std::string source_name_;
-  std::vector<Token> tokens_;
-  std::size_t cursor_ = 0;
-};
 
 /// A value in a rate expression: a number or a (weighted) passive rate.
 /// Provenance survives evaluation when the expression is a single parameter
@@ -155,6 +25,10 @@ struct RateValue {
   std::string param;
   double scale = 1.0;
   std::vector<std::string> used;
+
+  Rate bound() const {
+    return passive ? Rate::passive(value) : Rate::active(value);
+  }
 };
 
 /// Merges provenance after an operation that destroys the scaled-parameter
@@ -165,14 +39,158 @@ void merge_used(RateValue& left, const RateValue& right) {
   left.used.insert(left.used.end(), right.used.begin(), right.used.end());
 }
 
+bool is_identifier(const Token& token, std::string_view text) {
+  return token.kind == TokenKind::kIdentifier && token.text == text;
+}
+bool is_passive_keyword(const Token& token) {
+  return is_identifier(token, "infty") || is_identifier(token, "T");
+}
+
+// --- rate expressions -----------------------------------------------------
+//
+// expr := term (('+'|'-') term)*        (numbers only)
+// term := factor (('*'|'/') factor)*    ('*' may combine number and infty)
+// factor := NUMBER | parameter | 'infty' | 'T' | '(' expr ')' | '-' factor
+
+class RateParser {
+ public:
+  RateParser(Lexer& lexer, const Parameters& parameters)
+      : lexer_(lexer), parameters_(parameters) {}
+
+  RateValue expression(bool allow_passive) {
+    RateValue left = term(allow_passive);
+    while (is_symbol(lexer_.peek(), "+") || is_symbol(lexer_.peek(), "-")) {
+      const std::string op = lexer_.next().text;
+      const RateValue right = term(allow_passive);
+      if (left.passive || right.passive) {
+        lexer_.fail(lexer_.peek(),
+                    "passive rates only support scaling by a weight");
+      }
+      left.value = op == "+" ? left.value + right.value : left.value - right.value;
+      merge_used(left, right);
+    }
+    return left;
+  }
+
+ private:
+  RateValue term(bool allow_passive) {
+    RateValue left = factor(allow_passive);
+    while (is_symbol(lexer_.peek(), "*") || is_symbol(lexer_.peek(), "/")) {
+      const Token& op_token = lexer_.peek();
+      const std::string op = lexer_.next().text;
+      const RateValue right = factor(allow_passive);
+      if (op == "*") {
+        if (left.passive && right.passive) {
+          lexer_.fail(op_token, "cannot multiply two passive rates");
+        }
+        if (!left.param.empty() && right.param.empty()) {
+          left.scale *= right.value;  // (scale * p) * literal
+          left.used.insert(left.used.end(), right.used.begin(),
+                           right.used.end());
+        } else if (left.param.empty() && !right.param.empty()) {
+          left.param = right.param;  // literal * (scale * p)
+          left.scale = left.value * right.scale;
+          left.used.insert(left.used.end(), right.used.begin(),
+                           right.used.end());
+        } else {
+          merge_used(left, right);  // p * q: no single-parameter shape
+        }
+        left.value *= right.value;
+        left.passive = left.passive || right.passive;
+      } else {
+        if (right.passive) lexer_.fail(op_token, "cannot divide by a passive rate");
+        if (!right.param.empty()) {
+          merge_used(left, right);  // dividing by a parameter is opaque
+        } else {
+          if (!left.param.empty()) left.scale /= right.value;
+          left.used.insert(left.used.end(), right.used.begin(),
+                           right.used.end());
+        }
+        left.value /= right.value;
+      }
+    }
+    return left;
+  }
+
+  RateValue factor(bool allow_passive) {
+    const Token& token = lexer_.peek();
+    if (token.kind == TokenKind::kNumber) {
+      lexer_.next();
+      RateValue value;
+      value.value = token.number;
+      return value;
+    }
+    if (is_passive_keyword(token)) {
+      lexer_.next();
+      if (!allow_passive) {
+        lexer_.fail(token, "passive rate not allowed here");
+      }
+      RateValue value;
+      value.value = 1.0;
+      value.passive = true;
+      return value;
+    }
+    if (token.kind == TokenKind::kIdentifier) {
+      lexer_.next();
+      const auto parameter = std::find_if(
+          parameters_.begin(), parameters_.end(),
+          [&](const auto& entry) { return entry.first == token.text; });
+      if (parameter == parameters_.end()) {
+        lexer_.fail(token,
+                    util::msg("unknown rate parameter '", token.text, "'"));
+      }
+      RateValue value;
+      value.value = parameter->second;
+      value.param = token.text;
+      value.used.push_back(token.text);
+      return value;
+    }
+    if (is_symbol(token, "(")) {
+      lexer_.next();
+      const RateValue inner = expression(allow_passive);
+      lexer_.expect_symbol(")");
+      return inner;
+    }
+    if (is_symbol(token, "-")) {
+      lexer_.next();
+      RateValue inner = factor(/*allow_passive=*/false);
+      inner.value = -inner.value;
+      inner.param.clear();  // a negated parameter is not a rebindable rate
+      inner.scale = 1.0;
+      return inner;
+    }
+    lexer_.fail(token, util::msg("expected a rate, found '", describe(token), "'"));
+  }
+
+  Lexer& lexer_;
+  const Parameters& parameters_;
+};
+
+/// Reads an activity or transition rate: a rate expression whose value must
+/// be positive and finite, reported at its first token otherwise.
+RateValue read_rate(Lexer& lexer, const Parameters& parameters) {
+  const Token& first = lexer.peek();
+  RateValue rate = RateParser(lexer, parameters).expression(/*allow_passive=*/true);
+  if (!(rate.value > 0.0) || !std::isfinite(rate.value)) {
+    lexer.fail(first, util::msg("rate must be positive and finite, got ",
+                                util::format_double(rate.value)));
+  }
+  return rate;
+}
+
 class Parser {
  public:
-  Parser(std::string_view source, std::string source_name)
-      : lexer_(source, std::move(source_name)) {}
+  explicit Parser(Lexer& lexer) : lexer_(lexer) {}
 
-  Model run() {
+  Model run(std::span<const std::string_view> stop_at) {
     while (lexer_.peek().kind != TokenKind::kEnd) {
       if (is_symbol(lexer_.peek(), "@")) {
+        const Token& directive = lexer_.peek(1);
+        if (directive.kind == TokenKind::kIdentifier &&
+            std::find(stop_at.begin(), stop_at.end(), directive.text) !=
+                stop_at.end()) {
+          break;
+        }
         parse_directive();
       } else {
         parse_definition();
@@ -183,41 +201,13 @@ class Parser {
   }
 
  private:
-  static bool is_symbol(const Token& token, std::string_view text) {
-    return token.kind == TokenKind::kSymbol && token.text == text;
-  }
-  static bool is_identifier(const Token& token, std::string_view text) {
-    return token.kind == TokenKind::kIdentifier && token.text == text;
-  }
-  static bool is_passive_keyword(const Token& token) {
-    return is_identifier(token, "infty") || is_identifier(token, "T");
-  }
-
-  void expect_symbol(std::string_view text) {
-    const Token& token = lexer_.next();
-    if (!is_symbol(token, text)) {
-      lexer_.fail(token, util::msg("expected '", text, "', found '",
-                                   token.kind == TokenKind::kEnd ? "end of input"
-                                                                 : token.text,
-                                   "'"));
-    }
-  }
-
-  std::string expect_identifier(const char* what) {
-    const Token& token = lexer_.next();
-    if (token.kind != TokenKind::kIdentifier) {
-      lexer_.fail(token, util::msg("expected ", what));
-    }
-    return token.text;
-  }
-
   void parse_directive() {
-    expect_symbol("@");
-    const std::string directive = expect_identifier("a directive name");
+    lexer_.expect_symbol("@");
+    const std::string directive = lexer_.expect_identifier("a directive name").text;
     if (directive == "system") {
       const Token& name_token = lexer_.peek();
-      const std::string name = expect_identifier("a process name");
-      expect_symbol(";");
+      const std::string name = lexer_.expect_identifier("a process name").text;
+      lexer_.expect_symbol(";");
       auto constant = model_.arena().find_constant(name);
       if (!constant) {
         lexer_.fail(name_token, util::msg("@system names unknown process '",
@@ -231,17 +221,18 @@ class Parser {
 
   void parse_definition() {
     const Token& name_token = lexer_.peek();
-    const std::string name = expect_identifier("a definition name");
+    const std::string name = lexer_.expect_identifier("a definition name").text;
     if (name == "Stop" || is_passive_keyword(name_token)) {
       lexer_.fail(name_token, util::msg("'", name, "' is a reserved word"));
     }
-    expect_symbol("=");
+    lexer_.expect_symbol("=");
 
     // Try a parameter definition first: a pure numeric expression over
     // known parameters, terminated by ';'.
     const std::size_t rewind_point = lexer_.position();
     try {
-      const RateValue value = parse_rate_expression(/*allow_passive=*/false);
+      const RateValue value = RateParser(lexer_, model_.parameters())
+                                  .expression(/*allow_passive=*/false);
       if (is_symbol(lexer_.peek(), ";")) {
         lexer_.next();
         model_.add_parameter(name, value.value);
@@ -258,7 +249,7 @@ class Parser {
     lexer_.rewind(rewind_point);
 
     const ProcessId body = parse_cooperation();
-    expect_symbol(";");
+    lexer_.expect_symbol(";");
     const ConstantId constant = model_.arena().declare(name);
     model_.arena().define(constant, body);  // throws on redefinition
     model_.add_definition(constant);
@@ -303,16 +294,16 @@ class Parser {
         lexer_.peek(1).kind == TokenKind::kIdentifier &&
         is_symbol(lexer_.peek(2), ",") && !is_passive_keyword(lexer_.peek(1))) {
       lexer_.next();  // (
-      const std::string action_name = expect_identifier("an action name");
-      expect_symbol(",");
-      const RateValue rate = parse_rate_expression(/*allow_passive=*/true);
-      expect_symbol(")");
-      expect_symbol(".");
+      const std::string action_name =
+          lexer_.expect_identifier("an action name").text;
+      lexer_.expect_symbol(",");
+      const RateValue rate = read_rate(lexer_, model_.parameters());
+      lexer_.expect_symbol(")");
+      lexer_.expect_symbol(".");
       const ProcessId continuation = parse_prefix();
       const ActionId action = model_.arena().action(action_name);
-      const Rate bound =
-          rate.passive ? Rate::passive(rate.value) : Rate::active(rate.value);
-      const ProcessId prefix = model_.arena().prefix(action, bound, continuation);
+      const ProcessId prefix =
+          model_.arena().prefix(action, rate.bound(), continuation);
       if (!rate.param.empty()) {
         model_.note_prefix_rate(prefix,
                                 PrefixRateTag{rate.param, rate.scale});
@@ -340,15 +331,18 @@ class Parser {
       } else if (is_symbol(lexer_.peek(), "[")) {
         // Replication array P[n]: n independent copies, P || P || ... || P.
         lexer_.next();
+        // Each copy adds a cooperation term, so the arena's id range bounds
+        // the count.
         const Token& count_token = lexer_.next();
         if (count_token.kind != TokenKind::kNumber ||
-            count_token.number < 1.0 ||
-            count_token.number != static_cast<double>(
-                                      static_cast<long>(count_token.number))) {
+            !(count_token.number >= 1.0 &&
+              count_token.number <= std::numeric_limits<ProcessId>::max()) ||
+            count_token.number != std::floor(count_token.number)) {
           lexer_.fail(count_token,
-                      "replication count must be a positive integer");
+                      util::msg("replication count must be a positive integer, "
+                                "got '", describe(count_token), "'"));
         }
-        expect_symbol("]");
+        lexer_.expect_symbol("]");
         const auto copies = static_cast<std::size_t>(count_token.number);
         ProcessId replicated = process;
         for (std::size_t i = 1; i < copies; ++i) {
@@ -366,7 +360,7 @@ class Parser {
     if (is_symbol(token, "(")) {
       lexer_.next();
       const ProcessId inner = parse_cooperation();
-      expect_symbol(")");
+      lexer_.expect_symbol(")");
       return inner;
     }
     if (token.kind == TokenKind::kIdentifier) {
@@ -379,9 +373,7 @@ class Parser {
       return model_.arena().constant(token.text);
     }
     lexer_.fail(token, util::msg("expected a process expression, found '",
-                                 token.kind == TokenKind::kEnd ? "end of input"
-                                                               : token.text,
-                                 "'"));
+                                 describe(token), "'"));
   }
 
   std::vector<ActionId> parse_action_list(std::string_view terminator) {
@@ -391,7 +383,8 @@ class Parser {
       return set;
     }
     while (true) {
-      set.push_back(model_.arena().action(expect_identifier("an action name")));
+      set.push_back(
+          model_.arena().action(lexer_.expect_identifier("an action name").text));
       const Token& token = lexer_.next();
       if (is_symbol(token, terminator)) return set;
       if (!is_symbol(token, ",")) {
@@ -401,124 +394,23 @@ class Parser {
     }
   }
 
-  // --- rate expressions ---------------------------------------------------
-  //
-  // expr := term (('+'|'-') term)*        (numbers only)
-  // term := factor (('*'|'/') factor)*    ('*' may combine number and infty)
-  // factor := NUMBER | parameter | 'infty' | 'T' | '(' expr ')' | '-' factor
-
-  RateValue parse_rate_expression(bool allow_passive) {
-    RateValue left = parse_rate_term(allow_passive);
-    while (is_symbol(lexer_.peek(), "+") || is_symbol(lexer_.peek(), "-")) {
-      const std::string op = lexer_.next().text;
-      const RateValue right = parse_rate_term(allow_passive);
-      if (left.passive || right.passive) {
-        lexer_.fail(lexer_.peek(),
-                    "passive rates only support scaling by a weight");
-      }
-      left.value = op == "+" ? left.value + right.value : left.value - right.value;
-      merge_used(left, right);
-    }
-    return left;
-  }
-
-  RateValue parse_rate_term(bool allow_passive) {
-    RateValue left = parse_rate_factor(allow_passive);
-    while (is_symbol(lexer_.peek(), "*") || is_symbol(lexer_.peek(), "/")) {
-      const Token& op_token = lexer_.peek();
-      const std::string op = lexer_.next().text;
-      const RateValue right = parse_rate_factor(allow_passive);
-      if (op == "*") {
-        if (left.passive && right.passive) {
-          lexer_.fail(op_token, "cannot multiply two passive rates");
-        }
-        if (!left.param.empty() && right.param.empty()) {
-          left.scale *= right.value;  // (scale * p) * literal
-          left.used.insert(left.used.end(), right.used.begin(),
-                           right.used.end());
-        } else if (left.param.empty() && !right.param.empty()) {
-          left.param = right.param;  // literal * (scale * p)
-          left.scale = left.value * right.scale;
-          left.used.insert(left.used.end(), right.used.begin(),
-                           right.used.end());
-        } else {
-          merge_used(left, right);  // p * q: no single-parameter shape
-        }
-        left.value *= right.value;
-        left.passive = left.passive || right.passive;
-      } else {
-        if (right.passive) lexer_.fail(op_token, "cannot divide by a passive rate");
-        if (!right.param.empty()) {
-          merge_used(left, right);  // dividing by a parameter is opaque
-        } else {
-          if (!left.param.empty()) left.scale /= right.value;
-          left.used.insert(left.used.end(), right.used.begin(),
-                           right.used.end());
-        }
-        left.value /= right.value;
-      }
-    }
-    return left;
-  }
-
-  RateValue parse_rate_factor(bool allow_passive) {
-    const Token& token = lexer_.peek();
-    if (token.kind == TokenKind::kNumber) {
-      lexer_.next();
-      RateValue value;
-      value.value = token.number;
-      return value;
-    }
-    if (is_passive_keyword(token)) {
-      lexer_.next();
-      if (!allow_passive) {
-        lexer_.fail(token, "passive rate not allowed here");
-      }
-      RateValue value;
-      value.value = 1.0;
-      value.passive = true;
-      return value;
-    }
-    if (token.kind == TokenKind::kIdentifier) {
-      lexer_.next();
-      if (!model_.has_parameter(token.text)) {
-        lexer_.fail(token,
-                    util::msg("unknown rate parameter '", token.text, "'"));
-      }
-      RateValue value;
-      value.value = model_.parameter(token.text);
-      value.param = token.text;
-      value.used.push_back(token.text);
-      return value;
-    }
-    if (is_symbol(token, "(")) {
-      lexer_.next();
-      const RateValue inner = parse_rate_expression(allow_passive);
-      expect_symbol(")");
-      return inner;
-    }
-    if (is_symbol(token, "-")) {
-      lexer_.next();
-      RateValue inner = parse_rate_factor(/*allow_passive=*/false);
-      inner.value = -inner.value;
-      inner.param.clear();  // a negated parameter is not a rebindable rate
-      inner.scale = 1.0;
-      return inner;
-    }
-    lexer_.fail(token, util::msg("expected a rate, found '",
-                                 token.kind == TokenKind::kEnd ? "end of input"
-                                                               : token.text,
-                                 "'"));
-  }
-
-  Lexer lexer_;
+  Lexer& lexer_;
   Model model_;
 };
 
 }  // namespace
 
 Model parse_model(std::string_view source, std::string source_name) {
-  return Parser(source, std::move(source_name)).run();
+  Lexer lexer(source, std::move(source_name));
+  return Parser(lexer).run({});
+}
+
+Model parse_model(Lexer& lexer, std::span<const std::string_view> stop_at) {
+  return Parser(lexer).run(stop_at);
+}
+
+Rate parse_rate(Lexer& lexer, const Parameters& parameters) {
+  return read_rate(lexer, parameters).bound();
 }
 
 Model parse_model_file(const std::string& path) {

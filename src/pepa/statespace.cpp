@@ -38,7 +38,6 @@ StateSpace StateSpace::derive(Semantics& semantics, ProcessId initial,
   engine.max_states = options.max_states;
   engine.allow_top_level_passive = options.allow_top_level_passive;
   engine.threads = options.threads;
-  engine.chunk_grain = options.chunk_grain;
   engine.pool = options.pool;
   engine.budget = options.budget;
   // Approximate per-state footprint: the term id plus its interning entry.

@@ -1,10 +1,13 @@
 #include "pepanet/net_parser.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "pepa/lexer.hpp"
 #include "pepa/parser.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -13,168 +16,30 @@ namespace choreo::pepanet {
 
 namespace {
 
-/// Finds the offset where net declarations begin: the first '@' (outside
-/// comments) followed by token/place/transition.  '@system' belongs to the
-/// embedded PEPA model.  Returns npos when there are no net declarations.
-std::size_t find_net_section(std::string_view source) {
-  std::size_t i = 0;
-  while (i < source.size()) {
-    const char c = source[i];
-    if (c == '/' && i + 1 < source.size() && source[i + 1] == '/') {
-      while (i < source.size() && source[i] != '\n') ++i;
-      continue;
-    }
-    if (c == '%' || c == '#') {
-      while (i < source.size() && source[i] != '\n') ++i;
-      continue;
-    }
-    if (c == '/' && i + 1 < source.size() && source[i + 1] == '*') {
-      i += 2;
-      while (i + 1 < source.size() && !(source[i] == '*' && source[i + 1] == '/')) {
-        ++i;
-      }
-      i += 2;
-      continue;
-    }
-    if (c == '@') {
-      std::size_t j = i + 1;
-      while (j < source.size() &&
-             std::isspace(static_cast<unsigned char>(source[j]))) {
-        ++j;
-      }
-      std::size_t k = j;
-      while (k < source.size() &&
-             (std::isalnum(static_cast<unsigned char>(source[k])) ||
-              source[k] == '_')) {
-        ++k;
-      }
-      const std::string_view word = source.substr(j, k - j);
-      if (word == "token" || word == "place" || word == "transition") return i;
-    }
-    ++i;
-  }
-  return std::string_view::npos;
-}
+/// The declarations that end the embedded PEPA model and open the net part.
+constexpr std::array<std::string_view, 3> kNetDeclarations = {
+    "token", "place", "transition"};
 
-/// Minimal tokeniser for the declaration section.
-class NetLexer {
- public:
-  NetLexer(std::string_view source, std::string source_name, std::size_t line0)
-      : source_(source), source_name_(std::move(source_name)), line_(line0) {}
-
-  struct Token {
-    enum class Kind { kIdent, kNumber, kSymbol, kEnd } kind = Kind::kEnd;
-    std::string text;
-    double number = 0.0;
-    std::size_t line = 1;
-  };
-
-  Token next() {
-    skip_trivia();
-    Token token;
-    token.line = line_;
-    if (i_ >= source_.size()) return token;
-    const char c = source_[i_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::size_t begin = i_;
-      while (i_ < source_.size() &&
-             (std::isalnum(static_cast<unsigned char>(source_[i_])) ||
-              source_[i_] == '_')) {
-        advance();
-      }
-      token.kind = Token::Kind::kIdent;
-      token.text = std::string(source_.substr(begin, i_ - begin));
-      return token;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t begin = i_;
-      while (i_ < source_.size() &&
-             (std::isdigit(static_cast<unsigned char>(source_[i_])) ||
-              source_[i_] == '.' || source_[i_] == 'e' || source_[i_] == 'E' ||
-              ((source_[i_] == '+' || source_[i_] == '-') &&
-               (source_[i_ - 1] == 'e' || source_[i_ - 1] == 'E')))) {
-        advance();
-      }
-      token.kind = Token::Kind::kNumber;
-      token.text = std::string(source_.substr(begin, i_ - begin));
-      token.number = std::stod(token.text);
-      return token;
-    }
-    token.kind = Token::Kind::kSymbol;
-    token.text = std::string(1, c);
-    advance();
-    return token;
-  }
-
-  Token peek() {
-    const std::size_t save_i = i_;
-    const std::size_t save_line = line_;
-    Token token = next();
-    i_ = save_i;
-    line_ = save_line;
-    return token;
-  }
-
-  [[noreturn]] void fail(const Token& at, const std::string& message) const {
-    throw util::ParseError(source_name_, at.line, 1, message);
-  }
-
- private:
-  void advance() {
-    if (source_[i_] == '\n') ++line_;
-    ++i_;
-  }
-  void skip_trivia() {
-    while (i_ < source_.size()) {
-      const char c = source_[i_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        advance();
-      } else if (c == '/' && i_ + 1 < source_.size() && source_[i_ + 1] == '/') {
-        while (i_ < source_.size() && source_[i_] != '\n') advance();
-      } else if (c == '%' || c == '#') {
-        while (i_ < source_.size() && source_[i_] != '\n') advance();
-      } else if (c == '/' && i_ + 1 < source_.size() && source_[i_ + 1] == '*') {
-        advance();
-        advance();
-        while (i_ + 1 < source_.size() &&
-               !(source_[i_] == '*' && source_[i_ + 1] == '/')) {
-          advance();
-        }
-        if (i_ + 1 < source_.size()) {
-          advance();
-          advance();
-        }
-      } else {
-        return;
-      }
-    }
-  }
-
-  std::string_view source_;
-  std::string source_name_;
-  std::size_t i_ = 0;
-  std::size_t line_;
-};
-
-using Token = NetLexer::Token;
+using pepa::Token;
+using pepa::TokenKind;
+using pepa::is_symbol;
 
 class NetParser {
  public:
-  NetParser(std::string_view declarations, std::string source_name,
-            std::size_t line0, pepa::Model model)
-      : lexer_(declarations, std::move(source_name), line0),
+  NetParser(pepa::Lexer& lexer, pepa::Model model)
+      : lexer_(lexer),
         parameters_(model.parameters()),
         net_(std::move(model.arena())) {}
 
   ParsedNet run() {
     while (true) {
-      const Token token = lexer_.next();
-      if (token.kind == Token::Kind::kEnd) break;
-      if (token.kind != Token::Kind::kSymbol || token.text != "@") {
+      const Token& token = lexer_.next();
+      if (token.kind == TokenKind::kEnd) break;
+      if (!is_symbol(token, "@")) {
         lexer_.fail(token, util::msg("expected a net declaration ('@'), found '",
                                      token.text, "'"));
       }
-      const Token keyword = expect_ident("a declaration keyword");
+      const Token& keyword = lexer_.expect_identifier("a declaration keyword");
       if (keyword.text == "token") {
         parse_token_decl();
       } else if (keyword.text == "place") {
@@ -204,20 +69,12 @@ class NetParser {
   }
 
  private:
-  Token expect_ident(const char* what) {
-    const Token token = lexer_.next();
-    if (token.kind != Token::Kind::kIdent) {
-      lexer_.fail(token, util::msg("expected ", what));
-    }
-    return token;
-  }
-  void expect_symbol(std::string_view text) {
-    const Token token = lexer_.next();
-    if (token.kind != Token::Kind::kSymbol || token.text != text) {
-      lexer_.fail(token, util::msg("expected '", text, "'"));
+  void expect_keyword(const char* word) {
+    const Token& token = lexer_.next();
+    if (token.kind != TokenKind::kIdentifier || token.text != word) {
+      lexer_.fail(token, util::msg("expected '", word, "'"));
     }
   }
-
   pepa::ProcessId constant_term(const Token& name) {
     auto constant = net_.arena().find_constant(name.text);
     if (!constant || !net_.arena().is_defined(*constant)) {
@@ -228,63 +85,56 @@ class NetParser {
   }
 
   void parse_token_decl() {
-    const Token name = expect_ident("a token type name");
+    const Token& name = lexer_.expect_identifier("a token type name");
     const pepa::ProcessId initial = constant_term(name);
-    expect_symbol(";");
+    lexer_.expect_symbol(";");
     net_.add_token_type(name.text, initial);
   }
 
   void parse_place_decl() {
-    const Token name = expect_ident("a place name");
+    const Token& name = lexer_.expect_identifier("a place name");
     const PlaceId place = net_.add_place(name.text);
     explicit_syncs_.emplace_back();
-    expect_symbol("{");
+    lexer_.expect_symbol("{");
     while (true) {
-      const Token token = lexer_.next();
-      if (token.kind == Token::Kind::kSymbol && token.text == "}") return;
-      if (token.kind != Token::Kind::kIdent) {
+      const Token& token = lexer_.next();
+      if (is_symbol(token, "}")) return;
+      if (token.kind != TokenKind::kIdentifier) {
         lexer_.fail(token, "expected 'cell', 'static' or '}'");
       }
       if (token.text == "cell") {
-        const Token type_name = expect_ident("a token type name");
+        const Token& type_name = lexer_.expect_identifier("a token type name");
         auto type = net_.find_token_type(type_name.text);
         if (!type) {
           lexer_.fail(type_name, util::msg("unknown token type '",
                                            type_name.text, "'"));
         }
         pepa::ProcessId initial = kVacant;
-        Token separator = lexer_.next();
-        if (separator.kind == Token::Kind::kSymbol && separator.text == "=") {
-          initial = constant_term(expect_ident("an initial process name"));
-          separator = lexer_.next();
+        if (is_symbol(lexer_.peek(), "=")) {
+          lexer_.next();
+          initial =
+              constant_term(lexer_.expect_identifier("an initial process name"));
         }
-        if (separator.kind != Token::Kind::kSymbol || separator.text != ";") {
-          lexer_.fail(separator, "expected ';' after cell declaration");
-        }
+        lexer_.expect_symbol(";");
         net_.add_cell(place, *type, initial);
       } else if (token.text == "static") {
         const pepa::ProcessId initial =
-            constant_term(expect_ident("a process name"));
-        expect_symbol(";");
+            constant_term(lexer_.expect_identifier("a process name"));
+        lexer_.expect_symbol(";");
         net_.add_static(place, initial);
       } else if (token.text == "sync") {
         // Explicit cooperation set for the next fold boundary (slot i vs
         // the fold of slots i+1..); overrides the shared-alphabet default
         // for the whole place.
-        expect_symbol("<");
+        lexer_.expect_symbol("<");
         std::vector<pepa::ActionId> set;
-        Token item = lexer_.next();
-        while (!(item.kind == Token::Kind::kSymbol && item.text == ">")) {
-          if (item.kind != Token::Kind::kIdent) {
-            lexer_.fail(item, "expected an action name in sync set");
-          }
-          set.push_back(net_.arena().action(item.text));
-          item = lexer_.next();
-          if (item.kind == Token::Kind::kSymbol && item.text == ",") {
-            item = lexer_.next();
-          }
+        while (!is_symbol(lexer_.peek(), ">")) {
+          set.push_back(net_.arena().action(
+              lexer_.expect_identifier("an action name in sync set").text));
+          if (is_symbol(lexer_.peek(), ",")) lexer_.next();
         }
-        expect_symbol(";");
+        lexer_.next();
+        lexer_.expect_symbol(";");
         explicit_syncs_.back().push_back(std::move(set));
       } else {
         lexer_.fail(token,
@@ -294,100 +144,53 @@ class NetParser {
     }
   }
 
-  pepa::Rate parse_rate() {
-    Token token = lexer_.next();
-    double weight = 1.0;
-    bool have_weight = false;
-    if (token.kind == Token::Kind::kNumber) {
-      weight = token.number;
-      have_weight = true;
-    } else if (token.kind == Token::Kind::kIdent && token.text != "infty" &&
-               token.text != "T") {
-      for (const auto& [name, value] : parameters_) {
-        if (name == token.text) {
-          weight = value;
-          have_weight = true;
-          break;
-        }
-      }
-      if (!have_weight) {
-        lexer_.fail(token, util::msg("unknown rate parameter '", token.text, "'"));
-      }
-    }
-    if (have_weight) {
-      const Token follow = lexer_.peek();
-      if (follow.kind == Token::Kind::kSymbol && follow.text == "*") {
-        lexer_.next();
-        const Token passive = expect_ident("'infty'");
-        if (passive.text != "infty" && passive.text != "T") {
-          lexer_.fail(passive, "expected 'infty' after '*'");
-        }
-        return pepa::Rate::passive(weight);
-      }
-      return pepa::Rate::active(weight);
-    }
-    if (token.kind == Token::Kind::kIdent &&
-        (token.text == "infty" || token.text == "T")) {
-      return pepa::Rate::passive(1.0);
-    }
-    lexer_.fail(token, "expected a rate");
-  }
-
   std::vector<PlaceId> parse_place_list(const char* terminator_word) {
     std::vector<PlaceId> places;
     while (true) {
-      const Token name = expect_ident("a place name");
+      const Token& name = lexer_.expect_identifier("a place name");
       auto place = net_.find_place(name.text);
       if (!place) {
         lexer_.fail(name, util::msg("unknown place '", name.text, "'"));
       }
       places.push_back(*place);
-      const Token token = lexer_.peek();
-      if (token.kind == Token::Kind::kSymbol && token.text == ",") {
+      if (is_symbol(lexer_.peek(), ",")) {
         lexer_.next();
         continue;
       }
-      if (terminator_word[0] != '\0') {
-        const Token word = expect_ident(terminator_word);
-        if (word.text != terminator_word) {
-          lexer_.fail(word, util::msg("expected '", terminator_word, "'"));
-        }
-      }
+      if (terminator_word[0] != '\0') expect_keyword(terminator_word);
       return places;
     }
   }
 
   void parse_transition_decl() {
-    const Token name = expect_ident("a transition (firing action) name");
-    expect_symbol("(");
-    Token keyword = expect_ident("'rate'");
-    if (keyword.text != "rate") lexer_.fail(keyword, "expected 'rate'");
-    const pepa::Rate rate = parse_rate();
+    const Token& name =
+        lexer_.expect_identifier("a transition (firing action) name");
+    lexer_.expect_symbol("(");
+    expect_keyword("rate");
+    const pepa::Rate rate = pepa::parse_rate(lexer_, parameters_);
     unsigned priority = 1;
-    Token token = lexer_.next();
-    if (token.kind == Token::Kind::kSymbol && token.text == ",") {
-      keyword = expect_ident("'priority'");
-      if (keyword.text != "priority") lexer_.fail(keyword, "expected 'priority'");
-      const Token number = lexer_.next();
-      if (number.kind != Token::Kind::kNumber || number.number < 0.0) {
-        lexer_.fail(number, "expected a non-negative priority");
+    if (is_symbol(lexer_.peek(), ",")) {
+      lexer_.next();
+      expect_keyword("priority");
+      const Token& number = lexer_.next();
+      if (number.kind != TokenKind::kNumber ||
+          !(number.number <= std::numeric_limits<unsigned>::max()) ||
+          number.number != std::floor(number.number)) {
+        lexer_.fail(number, util::msg("expected a non-negative integer priority, "
+                                      "found '", number.text, "'"));
       }
       priority = static_cast<unsigned>(number.number);
-      token = lexer_.next();
     }
-    if (token.kind != Token::Kind::kSymbol || token.text != ")") {
-      lexer_.fail(token, "expected ')'");
-    }
-    Token from = expect_ident("'from'");
-    if (from.text != "from") lexer_.fail(from, "expected 'from'");
+    lexer_.expect_symbol(")");
+    expect_keyword("from");
     const std::vector<PlaceId> inputs = parse_place_list("to");
     const std::vector<PlaceId> outputs = parse_place_list("");
-    expect_symbol(";");
+    lexer_.expect_symbol(";");
     net_.add_transition(name.text, rate, inputs, outputs, priority);
   }
 
-  NetLexer lexer_;
-  std::vector<std::pair<std::string, double>> parameters_;
+  pepa::Lexer& lexer_;
+  pepa::Parameters parameters_;
   PepaNet net_;
   /// Per place: explicit 'sync' cooperation sets (empty = use the default).
   std::vector<std::vector<std::vector<pepa::ActionId>>> explicit_syncs_;
@@ -396,19 +199,30 @@ class NetParser {
 }  // namespace
 
 ParsedNet parse_net(std::string_view source, std::string source_name) {
-  const std::size_t split = find_net_section(source);
-  if (split == std::string_view::npos) {
-    throw util::ParseError(source_name, 1, 1,
+  pepa::Lexer lexer(source, source_name);
+  pepa::Model model = pepa::parse_model(lexer, kNetDeclarations);
+  if (lexer.peek().kind == TokenKind::kEnd) {
+    throw util::ParseError(std::move(source_name), 1, 1,
                            "no net declarations (@token/@place/@transition)");
   }
-  const std::string_view pepa_part = source.substr(0, split);
-  const std::string_view net_part = source.substr(split);
-  const std::size_t line0 =
-      1 + static_cast<std::size_t>(
-              std::count(pepa_part.begin(), pepa_part.end(), '\n'));
+  return NetParser(lexer, std::move(model)).run();
+}
 
-  pepa::Model model = pepa::parse_model(pepa_part, source_name);
-  return NetParser(net_part, std::move(source_name), line0, std::move(model)).run();
+bool is_net_source(std::string_view source) {
+  try {
+    const pepa::Lexer lexer(source, "");
+    for (std::size_t i = 0; lexer.peek(i).kind != TokenKind::kEnd; ++i) {
+      const Token& name = lexer.peek(i + 1);
+      if (is_symbol(lexer.peek(i), "@") && name.kind == TokenKind::kIdentifier &&
+          std::find(kNetDeclarations.begin(), kNetDeclarations.end(),
+                    name.text) != kNetDeclarations.end()) {
+        return true;
+      }
+    }
+  } catch (const util::ParseError&) {
+    // Not lexable as either format; parse_model reports the error.
+  }
+  return false;
 }
 
 ParsedNet parse_net_file(const std::string& path) {

@@ -25,9 +25,12 @@
 //       firing types excluded.
 //   @transition <action> (rate <r> [, priority <n>]) from <p>[, <p>...]
 //                                                    to <q>[, <q>...];
-//       <r> is a number, a rate parameter, "infty"/"T", or w*infty.
+//       <r> is a PEPA rate expression (numbers, parameters, + - * /,
+//       "infty"/"T", w*infty); <n> is a non-negative integer.
 //
-// The initial marking is given by the cells' '=' initialisers.
+// The initial marking is given by the cells' '=' initialisers.  The whole
+// file is read with the PEPA lexer (pepa/lexer.hpp): comments, numbers and
+// error positions follow the .pepa rules.
 #pragma once
 
 #include <string>
@@ -43,7 +46,14 @@ struct ParsedNet {
   std::vector<std::pair<std::string, double>> parameters;
 };
 
+/// Throws util::ParseError with the offending token's line and column on
+/// syntax errors, and util::ModelError when the net is ill-formed.
 ParsedNet parse_net(std::string_view source, std::string source_name = "<pepanet>");
 ParsedNet parse_net_file(const std::string& path);
+
+/// True when `source` lexes and has a net declaration (@token, @place or
+/// @transition): a .pepanet rather than a plain .pepa.  Comments cannot fool
+/// it; a source that does not lex is reported by whichever parser reads it.
+bool is_net_source(std::string_view source);
 
 }  // namespace choreo::pepanet

@@ -120,7 +120,6 @@ NetStateSpace NetStateSpace::derive_from(NetSemantics& semantics, Marking initia
   engine.max_states = options.max_markings;
   engine.allow_top_level_passive = options.allow_top_level_passive;
   engine.threads = options.threads;
-  engine.chunk_grain = options.chunk_grain;
   engine.pool = options.pool;
   engine.budget = options.budget;
   // Approximate per-marking footprint: every marking of one net holds the

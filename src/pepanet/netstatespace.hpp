@@ -39,10 +39,6 @@ struct NetDeriveOptions {
   /// path, 0 sizes to the pool (worker count + the calling thread).  The
   /// derived graph is identical for every setting.
   std::size_t threads = 0;
-  /// Markings per work-stealing expansion chunk; 0 sizes automatically from
-  /// the frontier and lane count.  A pure throughput knob — the derived
-  /// graph is identical for every setting.
-  std::size_t chunk_grain = 0;
   /// Pool expansion chunks run on; nullptr means util::ThreadPool::shared().
   util::ThreadPool* pool = nullptr;
   /// Resource governor: cancellation, deadline and marking/byte accounting,

@@ -651,11 +651,7 @@ JobHandle Scheduler::submit(JobRequest request) {
   const double timeout = state->request.timeout_seconds < 0
                              ? impl_->options.default_timeout_seconds
                              : state->request.timeout_seconds;
-  if (timeout > 0) {
-    state->budget.set_deadline(
-        state->submitted + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(timeout)));
-  }
+  state->budget.set_deadline_seconds(timeout);
   impl_->submitted_total.increment();
   impl_->queue_depth.add(1);
   impl_->pool.submit([impl = impl_.get(), state] { impl->run_job(state); });

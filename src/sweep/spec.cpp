@@ -22,11 +22,16 @@ double parse_number(std::string_view what, std::string_view text) {
   }
 }
 
+// Every point of an axis is a stored value and a solve, so a count beyond
+// this is a typo rather than a sweep.
+constexpr std::size_t kMaxCount = 1'000'000;
+
 std::size_t parse_count(std::string_view what, std::string_view text) {
   const double value = parse_number(what, text);
-  if (value < 1.0 || value != std::floor(value)) {
-    throw util::Error(util::msg(what, " must be a positive integer, got '",
-                                text, "'"));
+  if (!(value >= 1.0 && value <= static_cast<double>(kMaxCount)) ||
+      value != std::floor(value)) {
+    throw util::Error(util::msg(what, " must be an integer from 1 to ", kMaxCount,
+                                ", got '", text, "'"));
   }
   return static_cast<std::size_t>(value);
 }

@@ -367,9 +367,7 @@ int run_job(const Job& job) {
   const std::string source = read_file(job.input);
   const auto first = source.find_first_not_of(" \t\r\n");
   const bool xmi = first != std::string::npos && source[first] == '<';
-  // The net parser's own section markers tell a net from a plain model.
-  const bool net = !xmi && (source.find("@token") != std::string::npos ||
-                            source.find("@place") != std::string::npos);
+  const bool net = !xmi && pepanet::is_net_source(source);
   const bool fluid = job.analysis.aggregation == chor::Aggregation::kFluid;
   const bool sweep = !job.sweep.axes.empty();
   if (net && (sweep || fluid)) {

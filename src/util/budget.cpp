@@ -5,7 +5,10 @@
 namespace choreo::util {
 
 void Budget::set_deadline_seconds(double seconds) {
-  if (seconds <= 0.0) {
+  // Past about 292 years the clock's nanosecond count overflows; a deadline
+  // 30 years out cannot pass during a run, so longer ones are none as well.
+  constexpr double kUnboundedSeconds = 1e9;
+  if (!(seconds > 0.0 && seconds < kUnboundedSeconds)) {  // NaN too
     deadline_ns_.store(kNoDeadline, std::memory_order_relaxed);
     return;
   }

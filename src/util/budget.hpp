@@ -61,7 +61,8 @@ class Budget {
                        std::memory_order_relaxed);
   }
 
-  /// Relative convenience: `seconds` from now; <= 0 disables the deadline.
+  /// Relative convenience: `seconds` from now; <= 0, NaN, or 10^9 (about
+  /// 31 years) and beyond disables the deadline.
   void set_deadline_seconds(double seconds);
 
   /// Approximate byte bound on states charged to this budget; 0 (the

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,6 +83,17 @@ TEST(Budget, NonPositiveDeadlineSecondsDisablesTheDeadline) {
   budget.set_deadline_seconds(3600.0);
   EXPECT_FALSE(budget.deadline_passed());
   EXPECT_NO_THROW(budget.check("derive"));
+}
+
+TEST(Budget, DeadlineBeyondTheClockRangeNeverPasses) {
+  // 1e12 s is past the clock's nanosecond range; the cast used to wrap it
+  // into a deadline already passed.
+  for (const double seconds : {1e9, 1e12, 1e300, std::nan("")}) {
+    util::Budget budget;
+    budget.set_deadline_seconds(seconds);
+    EXPECT_FALSE(budget.deadline_passed()) << seconds;
+    EXPECT_NO_THROW(budget.check("derive")) << seconds;
+  }
 }
 
 TEST(Budget, ExhaustedByteBudgetThrowsBudgetError) {
@@ -443,6 +455,18 @@ TEST(BudgetService, DeadlineLandsMidDeriveAsTimedOut) {
   EXPECT_EQ(result.error, "deadline passed while running");
   EXPECT_GE(result.partial_derive_stats.dedup_misses, 1u);
   EXPECT_GE(result.partial_derive_stats.levels, 1u);
+}
+
+TEST(BudgetService, TimeoutBeyondTheClockRangeNeverExpires) {
+  service::SchedulerOptions options;
+  options.workers = 1;
+  service::Scheduler scheduler(options);
+  service::JobRequest request;
+  request.name = "tomcat";
+  request.project = uml::to_xmi(chor::tomcat_model(false));
+  request.timeout_seconds = 1e12;
+  EXPECT_EQ(scheduler.submit(std::move(request)).wait().status,
+            service::JobStatus::kDone);
 }
 
 TEST(BudgetService, ProgressIsObservableWhileRunning) {

@@ -174,6 +174,15 @@ TEST(ExtractActivity, DefaultRateAppliesToUntaggedActions) {
   EXPECT_DOUBLE_EQ(moves[0].rate.value(), 4.25);
 }
 
+TEST(ExtractActivity, PriorityTagMustBeAnUnsignedInteger) {
+  for (const char* priority : {"1e30", "-1", "1.5"}) {
+    cm::Model model = chor::pda_handover_model();
+    auto& graph = model.activity_graphs()[0];
+    graph.nodes()[*graph.find_action("handover_1")].tags.set("priority", priority);
+    EXPECT_THROW(chor::extract_activity_graph(graph), cu::ModelError) << priority;
+  }
+}
+
 TEST(ExtractActivity, RejectsDegenerateDiagrams) {
   {
     cm::ActivityGraph graph("no_objects");
@@ -312,6 +321,18 @@ TEST(Rates, ParseErrors) {
   EXPECT_THROW(chor::parse_rates("x = fast"), cu::ParseError);
   EXPECT_THROW(chor::parse_rates("x = -1"), cu::ParseError);
   EXPECT_THROW(chor::parse_rates("= 2.0"), cu::ParseError);
+}
+
+TEST(Rates, NonFiniteRateRejectedAtParseTime) {
+  try {
+    chor::parse_rates("handover_1 = 0.25\nhandover_2 = inf\n", "pda.rates");
+    FAIL() << "expected ParseError";
+  } catch (const cu::ParseError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind(
+                  "pda.rates:2:1: rate must be positive and finite", 0),
+              0u)
+        << error.what();
+  }
 }
 
 TEST(Rates, AppliesToStateMachines) {

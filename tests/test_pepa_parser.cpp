@@ -138,6 +138,45 @@ TEST(Parser, SyntaxErrorsCarryPositions) {
   }
 }
 
+TEST(Parser, ReplicationCountOutOfRangeIsAParseError) {
+  for (const char* count : {"1e300", "0", "2.5"}) {
+    try {
+      cp::parse_model(std::string("P = (a, 1.0).P; S = P[") + count + "];",
+                      "r.pepa");
+      ADD_FAILURE() << count << " was accepted";
+    } catch (const cu::ParseError& error) {
+      EXPECT_EQ(error.line(), 1u);
+      EXPECT_EQ(error.column(), 23u);
+      EXPECT_NE(std::string(error.what()).find(count), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Parser, MalformedNumbersAreParseErrors) {
+  for (const char* number : {"1.2.3", "2e", "1e999"}) {
+    try {
+      cp::parse_model(std::string("P = (a, ") + number + ").P;");
+      ADD_FAILURE() << number << " was accepted";
+    } catch (const cu::ParseError& error) {
+      EXPECT_EQ(error.column(), 9u) << number;
+      EXPECT_NE(std::string(error.what()).find(number), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Parser, NonPositiveOrInfiniteRateIsAParseError) {
+  for (const char* rate : {"1/0", "0", "1 - 2"}) {
+    try {
+      cp::parse_model(std::string("P = (a, ") + rate + ").P;");
+      ADD_FAILURE() << rate << " was accepted";
+    } catch (const cu::ParseError& error) {
+      EXPECT_EQ(error.column(), 9u) << rate;
+    }
+  }
+}
+
 TEST(Parser, ReservedWordsRejected) {
   EXPECT_THROW(cp::parse_model("Stop = (a, 1.0).Stop;"), cu::ParseError);
   EXPECT_THROW(cp::parse_model("infty = 2.0;"), cu::ParseError);

@@ -4,9 +4,14 @@
 // message net (Section 2.2).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "choreographer/extract_activity.hpp"
 #include "choreographer/paper_models.hpp"
 #include "ctmc/steady_state.hpp"
+#include "pepa/parser.hpp"
 #include "pepanet/net.hpp"
 #include "pepanet/net_parser.hpp"
 #include "pepanet/net_printer.hpp"
@@ -707,4 +712,141 @@ TEST(Net, CoopSetWithFiringTypeRejected) {
   net.add_transition("hop", cp::Rate::active(1.0), {p}, {q});
   net.set_coop_sets(p, {{hop}});  // firing type in a local cooperation set
   EXPECT_THROW(net.validate(), cu::ModelError);
+}
+
+// --- the shared PEPA reader ------------------------------------------------
+//
+// A .pepanet is lexed once with the PEPA lexer, and its transition labels
+// are PEPA rate expressions, so comments, numbers, rates and error
+// positions follow the .pepa rules in both parts of the file.
+
+namespace {
+
+/// Parses `source` and returns the ParseError it must raise.
+cu::ParseError net_parse_error(const std::string& source) {
+  try {
+    cn::parse_net(source, "probe.pepanet");
+  } catch (const cu::ParseError& error) {
+    return error;
+  }
+  ADD_FAILURE() << "expected a ParseError for:\n" << source;
+  return cu::ParseError("", 0, 0, "");
+}
+
+/// A two-place net whose last line is `transition`.
+std::string one_transition_net(const std::string& transition) {
+  return "M = (go, 1.0).M;\n@token M;\n@place A { cell M = M; }\n"
+         "@place B { cell M; }\n" +
+         transition + "\n";
+}
+
+}  // namespace
+
+TEST(NetParser, TransitionRatesUseThePepaRateGrammar) {
+  const char* source = R"(
+    r = 0.5;
+    M = (go, infty).(back, infty).M;
+    @token M;
+    @place A { cell M = M; }
+    @place B { cell M; }
+    @transition go (rate 2*r + 0.25) from A to B;
+    @transition back (rate (r + 1) * infty) from B to A;
+  )";
+  const auto parsed = cn::parse_net(source);
+  EXPECT_TRUE(parsed.net.transition(0).rate.is_active());
+  EXPECT_DOUBLE_EQ(parsed.net.transition(0).rate.value(), 1.25);
+  EXPECT_TRUE(parsed.net.transition(1).rate.is_passive());
+  EXPECT_DOUBLE_EQ(parsed.net.transition(1).rate.value(), 1.5);
+}
+
+TEST(NetParser, OverflowingRateIsAParseError) {
+  const auto error = net_parse_error(
+      one_transition_net("@transition go (rate 1e999) from A to B;"));
+  EXPECT_EQ(error.line(), 5u);
+  EXPECT_EQ(error.column(), 22u);
+  EXPECT_NE(std::string(error.what()).find("1e999"), std::string::npos);
+  const auto zero = net_parse_error(
+      one_transition_net("@transition go (rate 1 - 1) from A to B;"));
+  EXPECT_EQ(zero.column(), 22u);
+}
+
+TEST(NetParser, PriorityOutOfRangeIsAParseError) {
+  for (const char* priority : {"1e30", "1.5", "-1"}) {
+    const auto error = net_parse_error(one_transition_net(
+        std::string("@transition go (rate 1.0, priority ") + priority +
+        ") from A to B;"));
+    EXPECT_EQ(error.line(), 5u) << priority;
+    EXPECT_EQ(error.column(), 36u) << priority;
+  }
+}
+
+TEST(NetParser, UnterminatedCommentInNetPartIsAParseError) {
+  const auto error = net_parse_error(
+      one_transition_net("@transition go (rate 1.0) from A to B; /* open"));
+  EXPECT_NE(std::string(error.what()).find("unterminated block comment"),
+            std::string::npos);
+}
+
+TEST(NetParser, ErrorsReportTheTokenColumn) {
+  const auto dollar = net_parse_error(
+      "M = (go, 1.0).M;\n@token M;\n@place A { cell M = M; } @place B { cell M; }\n"
+      "@transition go (rate 1.0)$ from A to B;\n");
+  EXPECT_EQ(dollar.line(), 4u);
+  EXPECT_EQ(dollar.column(), 26u);
+  const auto unknown_place =
+      net_parse_error(one_transition_net("@transition go (rate 1.0) from A to C;"));
+  EXPECT_EQ(unknown_place.line(), 5u);
+  EXPECT_EQ(unknown_place.column(), 37u);
+}
+
+TEST(NetParser, NetSniffReadsTokensNotText) {
+  EXPECT_TRUE(cn::is_net_source(kInstantMessageNet));
+  EXPECT_FALSE(cn::is_net_source("// @token M;\nP = (a, 1.0).P;\n"));
+  EXPECT_FALSE(cn::is_net_source("/* @place p { } */ P = (a, 1.0).P;"));
+  EXPECT_FALSE(cn::is_net_source("P = (a, 1.0).P; @system P;"));
+  EXPECT_FALSE(cn::is_net_source("@token M; /* never closed"));
+  // The plain-model parser keeps its own error for net declarations.
+  EXPECT_THROW(cp::parse_model(kInstantMessageNet), cu::ParseError);
+}
+
+// Every file under tests/corpus/pepa is dispatched as the CLI does: a net
+// when is_net_source says so, a PEPA model otherwise.  Valid files parse;
+// invalid ones raise util::ParseError at a real position, and nothing else.
+TEST(PepaCorpus, ValidFilesParseAndInvalidFilesRaiseParseError) {
+  const auto read = [](const std::filesystem::path& path) {
+    std::ifstream stream(path, std::ios::binary);
+    std::ostringstream buffer;
+    buffer << stream.rdbuf();
+    return buffer.str();
+  };
+  const auto parse = [](const std::string& source, const std::string& name) {
+    if (cn::is_net_source(source)) {
+      cn::parse_net(source, name);
+    } else {
+      cp::parse_model(source, name);
+    }
+  };
+  const std::filesystem::path corpus(CHOREO_PEPA_CORPUS_DIR);
+  std::size_t valid = 0, invalid = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(corpus / "valid")) {
+    EXPECT_NO_THROW(parse(read(entry.path()), entry.path().string()))
+        << entry.path();
+    ++valid;
+  }
+  for (const auto& entry :
+       std::filesystem::directory_iterator(corpus / "invalid")) {
+    try {
+      parse(read(entry.path()), entry.path().string());
+      ADD_FAILURE() << entry.path() << " parsed";
+    } catch (const cu::ParseError& error) {
+      EXPECT_GE(error.line(), 1u) << entry.path();
+      EXPECT_GE(error.column(), 1u) << entry.path();
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << entry.path() << " raised a non-ParseError: " << error.what();
+    }
+    ++invalid;
+  }
+  EXPECT_GE(valid, 2u);
+  EXPECT_GE(invalid, 5u);
 }

@@ -125,6 +125,19 @@ TEST(SweepSpec, ParsesAxisSyntax) {
   EXPECT_THROW(sweep::parse_axis("r=1:2:notanumber"), util::Error);
 }
 
+TEST(SweepSpec, RangeCountOutOfRangeNamesTheValue) {
+  for (const std::string count : {"1e300", "inf", "0", "2.5", "1e7"}) {
+    try {
+      sweep::parse_axis("locs=lin:1:2:" + count);
+      ADD_FAILURE() << count << " was accepted";
+    } catch (const util::Error& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("range count"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + count + "'"), std::string::npos) << what;
+    }
+  }
+}
+
 // --- parser provenance ----------------------------------------------------
 
 TEST(RateProvenance, SingleAndScaledParametersAreSweepable) {
